@@ -9,7 +9,6 @@ regime where the cap's spectral condition fails and the tool says so.
 import numpy as np
 
 from dplqg import (
-    InapplicableBoundError,
     covariance_bound_condition,
     entropy_bound_report,
     homogeneous_entropy_estimate,
@@ -62,9 +61,7 @@ V_heavy = 23.48 ** 2 * np.eye(2)
 holds, margin = covariance_bound_condition(A_marginal, W_full, C, V_heavy)
 print(f"marginally stable plant, heavy noise: condition holds = {holds}, "
       f"margin = {margin:.4f}")
-try:
-    entropy_bound_report(A_marginal, W_full, C, V_heavy)
-except InapplicableBoundError as exc:
-    print(f"report refuses to certify: {exc}")
-print("the floor still applies:",
-      round(variance_floor(A_marginal, W_full, C, V_heavy), 4))
+rep = entropy_bound_report(A_marginal, W_full, C, V_heavy)
+print(f"report refuses to certify: condition_holds = {rep.condition_holds}, "
+      f"entropy_bound = {rep.entropy_bound}")
+print("the floor still applies:", round(rep.variance_floor, 4))

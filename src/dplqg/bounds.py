@@ -166,11 +166,11 @@ class EntropyBoundReport:
 
     posterior_floor_diag and variance_floor always exist;
     condition_holds and condition_margin state whether the cap applies; the
-    remaining fields are the cap itself: logdet_covariance is the exact
-    solved value, entropy_bound the closed-form strict upper bound,
-    privacy_term the noise-dependent denominator term, and
-    homogeneous_estimate the simplified cap when the model has identical
-    isotropic agents (None otherwise).
+    remaining fields are the cap itself, all None when it does not apply:
+    logdet_covariance is the exact solved value, entropy_bound the
+    closed-form strict upper bound, privacy_term the noise-dependent
+    denominator term, and homogeneous_estimate the simplified cap when the
+    model has identical isotropic agents (None otherwise).
     """
 
     posterior_floor_diag: tuple
@@ -222,22 +222,26 @@ def entropy_bound_report(A, W, C, V):
 
     with privacy_term = s_min(A)^2 * max_i gamma_i * min_i(C_ii^2/V_ii)
     + lambda_min(W) * min_i(C_ii^2/V_ii), where gamma are the posterior
-    variances. The bound is strict whenever the spectral condition holds;
-    InapplicableBoundError (carrying the margin) is raised when it does not.
+    variances. The bound is strict whenever the spectral condition holds.
+    When it does not, the report carries condition_holds=False, the
+    (negative) margin and the floors, leaves the cap fields None, and Sigma
+    is not solved for.
     """
     A, W, C, V = _validate_bound_inputs(A, W, C, V)
-    gamma = posterior_variance_diag(W, C, V)
+    gamma = tuple(float(g) for g in posterior_variance_diag(W, C, V))
     floor = variance_floor(A, W, C, V)
     holds, margin = covariance_bound_condition(A, W, C, V)
     if not holds:
-        raise InapplicableBoundError(
-            f"covariance cap condition fails (margin {margin:.6g})",
-            margin=margin,
+        return EntropyBoundReport(
+            posterior_floor_diag=gamma,
+            variance_floor=floor,
+            condition_holds=False,
+            condition_margin=margin,
         )
     s = np.linalg.svd(A, compute_uv=False)
     leverage = _privacy_leverage(C, V)
     privacy_term = float(
-        s[-1] ** 2 * gamma.max() * leverage + np.linalg.eigvalsh(W)[0] * leverage
+        s[-1] ** 2 * max(gamma) * leverage + np.linalg.eigvalsh(W)[0] * leverage
     )
     coef = float(np.linalg.eigvalsh(W)[-1]) / (1.0 + privacy_term - s[0] ** 2)
     bound = float(coef * np.sum(s * s) + np.trace(W))
@@ -249,7 +253,7 @@ def entropy_bound_report(A, W, C, V):
             A, float(np.diag(W)[0]), math.sqrt(float(np.diag(V)[0]))
         )
     return EntropyBoundReport(
-        posterior_floor_diag=tuple(float(g) for g in gamma),
+        posterior_floor_diag=gamma,
         variance_floor=floor,
         condition_holds=True,
         condition_margin=margin,

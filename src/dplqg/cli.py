@@ -26,31 +26,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    covariance_bound_condition,
-    entropy_bound_report,
-    logdet,
-    posterior_variance_diag,
-    variance_floor,
-)
+from .bounds import entropy_bound_report, logdet
 from .config import build_network, load, resolve_costs
-from .errors import (
-    AssumptionError,
-    ConfigError,
-    ConvergenceError,
-    InapplicableBoundError,
-)
+from .errors import AssumptionError, ConfigError, ConvergenceError
 from .lqg import synthesize
-from .network import assemble_network, run_simulation, write_messages_csv, write_trace_csv
+from .network import (
+    _fmt,
+    assemble_network,
+    run_simulation,
+    write_messages_csv,
+    write_trace_csv,
+)
 from .privacy import PrivacySpec
 from .riccati import dare_residual_control, dare_residual_filter
 
 DEFAULT_SWEEP_GRID = (0.1, 0.3, 0.7, 1.2, 2.0, 3.0)
 DEFAULT_SWEEP_SEEDS = 10
-
-
-def _fmt(value):
-    return repr(float(value))
 
 
 def _write_matrix(M, path):
@@ -159,13 +150,7 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
         ]
         model = assemble_network(agents, Q, R)
         syn = synthesize(model)
-        try:
-            report = entropy_bound_report(model.A, model.W, model.C, model.V)
-            bound = report.entropy_bound
-            margin = report.condition_margin
-        except InapplicableBoundError as exc:
-            bound = math.nan
-            margin = exc.margin
+        report = entropy_bound_report(model.A, model.W, model.C, model.V)
         costs = []
         for j in range(n_seeds):
             trace = run_simulation(
@@ -178,8 +163,10 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
                 "sigma": model.sigmas[0],
                 "mean_cost": float(np.mean(costs)),
                 "logdet_cov": logdet(syn.Sigma),
-                "entropy_bound": bound,
-                "condition_margin": margin,
+                "entropy_bound": (
+                    report.entropy_bound if report.condition_holds else math.nan
+                ),
+                "condition_margin": report.condition_margin,
             }
         )
     return rows
@@ -213,24 +200,12 @@ def cmd_bound(cfg, out=None):
     model, _ = build_network(cfg)
     out_dir = _out_dir(cfg, out)
     path = out_dir / "bound_report.txt"
-    try:
-        report = entropy_bound_report(model.A, model.W, model.C, model.V)
-    except InapplicableBoundError:
-        holds, margin = covariance_bound_condition(
-            model.A, model.W, model.C, model.V
-        )
-        gamma = posterior_variance_diag(model.W, model.C, model.V)
-        floor = variance_floor(model.A, model.W, model.C, model.V)
-        lines = [
-            "status = inapplicable",
-            "condition_holds = false",
-            f"condition_margin = {_fmt(margin)}",
-            f"variance_floor = {_fmt(floor)}",
-            f"posterior_floor_diag = {', '.join(_fmt(g) for g in gamma)}",
-        ]
-        _write_kv(lines, path)
-        print(f"entropy cap not applicable (margin {margin:.6g}); "
-              f"verdict written to {path}")
+    report = entropy_bound_report(model.A, model.W, model.C, model.V)
+    if not report.condition_holds:
+        # the verdict and the floors; the cap fields are all none
+        _write_kv(["status = inapplicable"] + report.kv_lines()[:4], path)
+        print(f"entropy cap not applicable "
+              f"(margin {report.condition_margin:.6g}); verdict written to {path}")
         return 5
     _write_kv(["status = applicable"] + report.kv_lines(), path)
     print(f"wrote entropy bound report to {path}")
@@ -296,9 +271,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-    except InapplicableBoundError as exc:
-        print(f"error: bound not applicable: {exc}", file=sys.stderr)
-        return 5
     except AssumptionError as exc:
         print(f"error: model assumption fails: {exc}", file=sys.stderr)
         return 3

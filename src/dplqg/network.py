@@ -79,11 +79,7 @@ class AgentModel:
         W = np.asarray(self.W, dtype=float)
         if W.shape != (n, n):
             raise ValueError(f"W must be {n} x {n}, got shape {W.shape}")
-        scale = max(1.0, float(np.abs(W).max()))
-        if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * scale):
-            raise ValueError("W must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (W + W.T)).min() <= 0.0:
-            raise ValueError("W must be positive definite")
+        _check_symmetric_pd(W, "W")
         x0_mean = np.asarray(self.x0_mean, dtype=float).reshape(-1)
         if x0_mean.size != n:
             raise ValueError(f"x0_mean must have {n} entries")

@@ -1,26 +1,29 @@
-"""Discrete-time algebraic Riccati solvers for the regulator and the filter.
+"""Discrete-time algebraic Riccati equations: one map, solved and dualized.
 
-Both equations are solved by fixed-point iteration of the Riccati map with
-symmetrization after every step, which is the dynamic-programming value
-recursion and converges to the unique stabilizing solution under the
-standing assumptions (positive definite weights, controllable input pair,
-observable output pair). The iteration is deliberately simple and fully
-deterministic; tests cross-check it against closed-form scalar solutions
-and an independent dense solver.
+Everything here is built on the regulator's Riccati map
 
-Regulator equation (cost-to-go K, feedback u = L x):
+    X  ->  A^T X A - (B^T X A)^T (R + B^T X B)^{-1} (B^T X A) + Q.
 
-    K = A^T K A - A^T K B (R + B^T K B)^{-1} B^T K A + Q
-    L = -(R + B^T K B)^{-1} B^T K A
+Its fixed point is the regulator's cost-to-go K, with feedback
 
-Filter equation (one-step prediction covariance Sigma, filtered covariance
-SigmaBar, gain SigmaBar C^T V^{-1}):
+    L = -(R + B^T K B)^{-1} B^T K A.
 
-    Sigma    = A Sigma A^T - A Sigma C^T (C Sigma C^T + V)^{-1} C Sigma A^T + W
+The filter equation is the same map on the dual data (A^T, C^T, W, V): its
+fixed point is the one-step prediction covariance Sigma, from which
+
     SigmaBar = Sigma - Sigma C^T (C Sigma C^T + V)^{-1} C Sigma
 
-The two are duals: the filter solution for (A, C, W, V) equals the
-regulator solution for (A^T, C^T, W, V).
+is the filtered covariance and SigmaBar C^T V^{-1} the gain. The filter
+solver, its residual and the observability test are therefore the
+regulator's, called on transposed views: transposing moves no bits, so both
+solves perform literally the same arithmetic.
+
+The fixed point is found by iterating the map with symmetrization after
+every step, which is the dynamic-programming value recursion and converges
+to the unique stabilizing solution under the standing assumptions (positive
+definite weights, controllable input pair, observable output pair). The
+iteration is deliberately simple and fully deterministic; tests cross-check
+it against closed-form scalar solutions and an independent dense solver.
 """
 
 from dataclasses import dataclass
@@ -64,6 +67,21 @@ def _as_square(M, name):
     return M
 
 
+def _as_pair(A, B, name="B"):
+    """Square A and a matrix B with as many rows, as float arrays."""
+    A = _as_square(A, "A")
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise ValueError(f"{name} must have {A.shape[0]} rows, got shape {B.shape}")
+    return A, B
+
+
+def _dual_pair(A, C):
+    """(A^T, C^T) for a square A and a q x n output matrix C."""
+    A = _as_square(A, "A")
+    return _as_pair(A.T, np.asarray(C, dtype=float).T, "C^T")
+
+
 def _check_symmetric_pd(M, name):
     M = _as_square(M, name)
     scale = max(1.0, float(np.abs(M).max()))
@@ -87,59 +105,84 @@ def _staircase_rank(blocks):
     return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
-def is_controllable(A, B):
-    """Rank test on [B, AB, ..., A^{n-1} B] with relative tolerance 1e-8."""
-    A = _as_square(A, "A")
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise ValueError(f"B must be {A.shape[0]} x m, got shape {B.shape}")
+def _full_krylov_rank(A, B):
+    """Whether [B, AB, ..., A^{n-1} B] has rank n (relative tolerance 1e-8).
+
+    The rank of the stacked blocks is checked after 1, 2, 4, 8, ... blocks
+    and after block n. Full rank from fewer blocks already proves the
+    claim, and stopping there keeps the huge powers of an unstable mode
+    from pushing a stable mode's directions below the relative tolerance.
+    """
     n = A.shape[0]
     blocks = []
     term = B
-    for _ in range(n):
+    for count in range(1, n + 1):
         blocks.append(term.T)
+        if (count & (count - 1) == 0 or count == n) and _staircase_rank(blocks) == n:
+            return True
         term = A @ term
-    return _staircase_rank(blocks) == n
+    return False
+
+
+def is_controllable(A, B):
+    """Rank test on [B, AB, ..., A^{n-1} B] with relative tolerance 1e-8."""
+    return _full_krylov_rank(*_as_pair(A, B))
 
 
 def is_observable(A, C):
-    """Rank test on [C; CA; ...; C A^{n-1}] with relative tolerance 1e-8."""
-    A = _as_square(A, "A")
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[1] != A.shape[0]:
-        raise ValueError(f"C must be q x {A.shape[0]}, got shape {C.shape}")
-    n = A.shape[0]
-    blocks = []
-    term = C
-    for _ in range(n):
-        blocks.append(term)
-        term = term @ A
-    return _staircase_rank(blocks) == n
+    """Rank test on [C; CA; ...; C A^{n-1}]: controllability of (A^T, C^T)."""
+    return _full_krylov_rank(*_dual_pair(A, C))
 
 
-def _iterate_to_fixed_point(riccati_map, X0, residual):
-    """Run X <- map(X) with symmetrization until successive iterates settle.
+def _riccati_map(X, A, B, Q, R):
+    """X -> A^T X A - (B^T X A)^T (R + B^T X B)^{-1} (B^T X A) + Q."""
+    G = B.T @ X @ A
+    return A.T @ X @ A - G.T @ np.linalg.solve(R + B.T @ X @ B, G) + Q
+
+
+def _stationary_solution(A, B, Q, R, q_name, r_name, rank_failure):
+    """Fixed point of the Riccati map for a checked pair (A, B).
+
+    Requires Q and R symmetric positive definite and (A, B) controllable;
+    violations raise AssumptionError. The names label the errors in the
+    caller's terms, so the filter, solved here as its dual, reports W, V
+    and observability. Returns the solution and the symmetrized weights.
+    """
+    n, m = B.shape
+    Q = _check_symmetric_pd(Q, q_name)
+    R = _check_symmetric_pd(R, r_name)
+    if Q.shape[0] != n:
+        raise ValueError(f"{q_name} must be {n} x {n}, got shape {Q.shape}")
+    if R.shape[0] != m:
+        raise ValueError(f"{r_name} must be {m} x {m}, got shape {R.shape}")
+    if not _full_krylov_rank(A, B):
+        raise AssumptionError(rank_failure)
+    return _iterate_to_fixed_point(A, B, Q, R), Q, R
+
+
+def _iterate_to_fixed_point(A, B, Q, R):
+    """Run X <- map(X) from X = Q, symmetrizing, until the iterates settle.
 
     Convergence is declared when the relative Frobenius change drops below
     CONVERGENCE_RTOL; the converged iterate must then pass the residual
     check, otherwise ConvergenceError reports how far the solve got.
     """
-    X = 0.5 * (X0 + X0.T)
+    X = 0.5 * (Q + Q.T)
     for iteration in range(1, MAX_ITERATIONS + 1):
-        X_next = riccati_map(X)
+        X_next = _riccati_map(X, A, B, Q, R)
         X_next = 0.5 * (X_next + X_next.T)
         change = np.linalg.norm(X_next - X) / max(1.0, np.linalg.norm(X_next))
         X = X_next
         if change < CONVERGENCE_RTOL:
-            res = residual(X)
+            res = dare_residual_control(X, A, B, Q, R)
             if res <= RESIDUAL_RTOL:
-                return X, iteration
+                return X
             raise ConvergenceError(
                 f"iteration stalled after {iteration} steps with residual {res:.3e}",
                 iterations=iteration,
                 residual=res,
             )
-    res = residual(X)
+    res = dare_residual_control(X, A, B, Q, R)
     raise ConvergenceError(
         f"no fixed point within {MAX_ITERATIONS} iterations "
         f"(last residual {res:.3e})",
@@ -155,34 +198,15 @@ def solve_dare_control(A, B, Q, R):
     violations raise AssumptionError naming the failed condition. The
     returned closed loop A + B L is verified Schur stable.
     """
-    A = _as_square(A, "A")
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise ValueError(f"B must be {A.shape[0]} x m, got shape {B.shape}")
-    Q = _check_symmetric_pd(Q, "Q")
-    R = _check_symmetric_pd(R, "R")
-    if Q.shape[0] != A.shape[0]:
-        raise ValueError("Q must match the state dimension")
-    if R.shape[0] != B.shape[1]:
-        raise ValueError("R must match the input dimension")
-    if not is_controllable(A, B):
-        raise AssumptionError("(A, B) is not controllable")
-
-    def step(K):
-        G = B.T @ K @ A
-        return A.T @ K @ A - G.T @ np.linalg.solve(R + B.T @ K @ B, G) + Q
-
-    def residual(K):
-        return dare_residual_control(K, A, B, Q, R)
-
-    K, _ = _iterate_to_fixed_point(step, Q, residual)
+    A, B = _as_pair(A, B)
+    K, Q, R = _stationary_solution(A, B, Q, R, "Q", "R", "(A, B) is not controllable")
     L = -np.linalg.solve(R + B.T @ K @ B, B.T @ K @ A)
     closed = A + B @ L
     radius = float(np.abs(np.linalg.eigvals(closed)).max())
     if radius >= 1.0:
         raise ConvergenceError(
             f"closed loop not Schur stable (spectral radius {radius:.6f})",
-            residual=residual(K),
+            residual=dare_residual_control(K, A, B, Q, R),
         )
     return ControlSynthesis(K=K, L=L)
 
@@ -193,27 +217,11 @@ def solve_dare_filter(A, C, W, V):
     Requires W and V symmetric positive definite and (A, C) observable;
     violations raise AssumptionError naming the failed condition.
     """
-    A = _as_square(A, "A")
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[1] != A.shape[0]:
-        raise ValueError(f"C must be q x {A.shape[0]}, got shape {C.shape}")
-    W = _check_symmetric_pd(W, "W")
-    V = _check_symmetric_pd(V, "V")
-    if W.shape[0] != A.shape[0]:
-        raise ValueError("W must match the state dimension")
-    if V.shape[0] != C.shape[0]:
-        raise ValueError("V must match the output dimension")
-    if not is_observable(A, C):
-        raise AssumptionError("(A, C) is not observable")
-
-    def step(S):
-        G = C @ S @ A.T
-        return A @ S @ A.T - G.T @ np.linalg.solve(C @ S @ C.T + V, G) + W
-
-    def residual(S):
-        return dare_residual_filter(S, A, C, W, V)
-
-    Sigma, _ = _iterate_to_fixed_point(step, W, residual)
+    At, Ct = _dual_pair(A, C)
+    Sigma, W, V = _stationary_solution(
+        At, Ct, W, V, "W", "V", "(A, C) is not observable"
+    )
+    C = Ct.T
     innovation_cov = C @ Sigma @ C.T + V
     SigmaBar = Sigma - Sigma @ C.T @ np.linalg.solve(innovation_cov, C @ Sigma)
     SigmaBar = 0.5 * (SigmaBar + SigmaBar.T)
@@ -227,28 +235,18 @@ def dare_residual_control(K, A, B, Q, R):
     ||map(K) - K||_F normalized by max(||K||_F, ||Q||_F), so the zero
     candidate scores 1 against any Q and an exact solution scores ~0.
     """
-    K = np.asarray(K, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    G = B.T @ K @ A
-    rhs = A.T @ K @ A - G.T @ np.linalg.solve(R + B.T @ K @ B, G) + Q
-    denom = max(np.linalg.norm(K), np.linalg.norm(Q))
-    return float(np.linalg.norm(rhs - K) / denom)
+    K, A, B, Q, R = (np.asarray(M, dtype=float) for M in (K, A, B, Q, R))
+    return float(
+        np.linalg.norm(_riccati_map(K, A, B, Q, R) - K)
+        / max(np.linalg.norm(K), np.linalg.norm(Q))
+    )
 
 
 def dare_residual_filter(Sigma, A, C, W, V):
     """Relative fixed-point defect of a filter Riccati candidate.
 
-    Same normalization as dare_residual_control, with W in place of Q.
+    The regulator's defect on the dual data (A^T, C^T, W, V).
     """
-    Sigma = np.asarray(Sigma, dtype=float)
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    W = np.asarray(W, dtype=float)
-    V = np.asarray(V, dtype=float)
-    G = C @ Sigma @ A.T
-    rhs = A @ Sigma @ A.T - G.T @ np.linalg.solve(C @ Sigma @ C.T + V, G) + W
-    denom = max(np.linalg.norm(Sigma), np.linalg.norm(W))
-    return float(np.linalg.norm(rhs - Sigma) / denom)
+    return dare_residual_control(
+        Sigma, np.asarray(A, dtype=float).T, np.asarray(C, dtype=float).T, W, V
+    )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dplqg.bounds as bounds
 from dplqg.bounds import (
     EntropyBoundReport,
     covariance_bound_condition,
@@ -167,9 +168,8 @@ def test_entropy_bound_is_strict_on_applicable_instances():
     while seen < 40:
         n = int(rng.integers(1, 5))
         A, W, C, V = _random_diagonal_instance(rng, n)
-        try:
-            rep = entropy_bound_report(A, W, C, V)
-        except InapplicableBoundError:
+        rep = entropy_bound_report(A, W, C, V)
+        if not rep.condition_holds:
             continue
         assert rep.logdet_covariance < rep.entropy_bound
         seen += 1
@@ -199,8 +199,22 @@ def test_inapplicable_error_carries_margin():
     with pytest.raises(InapplicableBoundError) as exc_info:
         covariance_upper_bound(A, ONE, ONE, V)
     assert exc_info.value.margin == margin
-    with pytest.raises(InapplicableBoundError):
-        entropy_bound_report(A, ONE, ONE, V)
+    rep = entropy_bound_report(A, ONE, ONE, V)
+    assert rep.condition_holds is False
+    assert rep.condition_margin == margin
+
+
+def test_inapplicable_report_keeps_floors_and_skips_the_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the filter DARE must not be solved")
+
+    monkeypatch.setattr(bounds, "solve_dare_filter", no_solve)
+    A, V = 2.0 * ONE, 100.0 * ONE
+    rep = entropy_bound_report(A, ONE, ONE, V)
+    assert rep.variance_floor == variance_floor(A, ONE, ONE, V)
+    assert rep.posterior_floor_diag == tuple(posterior_variance_diag(ONE, ONE, V))
+    assert rep.logdet_covariance is None and rep.entropy_bound is None
+    assert rep.privacy_term is None and rep.homogeneous_estimate is None
 
 
 # ----------------------------------------------------------------------

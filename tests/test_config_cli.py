@@ -9,6 +9,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from dplqg.config import (
 )
 from dplqg.errors import ConfigError
 from dplqg.lqg import synthesize
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _agent_dict(**overrides):
@@ -304,9 +307,26 @@ def test_cli_bound_applicable_and_not(tmp_path):
     bad_path = _write_config(tmp_path, bad, "bad.json")
     out2 = tmp_path / "bnd2"
     assert main(["bound", "--config", bad_path, "--out", str(out2)]) == 5
-    text2 = (out2 / "bound_report.txt").read_text()
-    assert "status = inapplicable" in text2
-    assert "condition_margin = " in text2
+    assert (out2 / "bound_report.txt").read_text().splitlines() == [
+        "status = inapplicable",
+        "condition_holds = false",
+        "condition_margin = -0.1025788795076612",
+        "variance_floor = 1.4032362393510973",
+        "posterior_floor_diag = 0.9981888785356193, 0.9981888785356193",
+    ]
+
+    # the shipped case study is inapplicable too; its report is pinned bytewise
+    out3 = tmp_path / "bnd3"
+    case_study = str(CONFIG_DIR / "case_study_2agent.json")
+    assert main(["bound", "--config", case_study, "--out", str(out3)]) == 5
+    assert (out3 / "bound_report.txt").read_bytes() == (
+        b"status = inapplicable\n"
+        b"condition_holds = false\n"
+        b"condition_margin = -0.1025788795076612\n"
+        b"variance_floor = 1.4032362393510973\n"
+        b"posterior_floor_diag = 0.9981888785356193, 0.9981888785356193, "
+        b"0.3333333333333334, 0.3333333333333334\n"
+    )
 
 
 def test_cli_exit_code_invalid_config(tmp_path):

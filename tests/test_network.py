@@ -1,5 +1,7 @@
 """Tests for network assembly, simulation, the wire log, and replay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -109,6 +111,21 @@ def test_assemble_network_rejects_bad_inputs():
         assemble_network(agents, Q=np.eye(2), R=np.eye(1))
     with pytest.raises(AssumptionError):
         assemble_network(agents, Q=np.array([[-1.0]]), R=np.eye(1))
+
+
+@pytest.mark.parametrize("a, n_unstable", [(2.0, 15), (1.5, 31)])
+def test_stable_agent_among_unstable_ones_assembles(a, n_unstable):
+    # Every agent is controllable and observable, so the block network is
+    # too; the huge powers of the unstable blocks must not hide the stable
+    # agent's directions from the rank tests.
+    stable = replace(_double_integrator_agent(1.0, 0.25),
+                     A=np.array([[0.5, 0.1], [0.0, 0.5]]))
+    unstable = replace(stable, A=np.array([[a, 0.1], [0.0, a]]))
+    agents = [stable] + [unstable] * n_unstable
+    n = sum(ag.n for ag in agents)
+    model = assemble_network(agents, Q=np.eye(n), R=np.eye(len(agents)))
+    syn = synthesize(model)
+    assert np.abs(np.linalg.eigvals(model.A + model.B @ syn.L)).max() < 1.0
 
 
 def test_state_and_input_slices():

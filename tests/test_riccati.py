@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import block_diag, solve_discrete_are
 
 import dplqg.riccati as riccati
 from dplqg.errors import AssumptionError, ConvergenceError
@@ -223,6 +226,49 @@ def test_controllability_basic_cases():
     # input aligned with an invariant subspace: not controllable
     assert not is_controllable(np.diag([2.0, 3.0]), np.array([[1.0], [0.0]]))
     assert is_controllable(np.diag([2.0, 3.0]), np.array([[1.0], [1.0]]))
+    # 64 double integrators, one of them without an input: every block
+    # power must be stacked before the rank test can say no
+    A64 = block_diag(*[A] * 64)
+    B64 = block_diag(*([np.array([[0.0], [1.0]])] * 63 + [np.zeros((2, 1))]))
+    assert not is_controllable(A64, B64)
+
+
+def _full_stack_singular_values(A, B):
+    """Singular values of all n blocks [B, AB, ..., A^{n-1} B], stacked."""
+    blocks, term = [], B
+    for _ in range(A.shape[0]):
+        blocks.append(term.T)
+        term = A @ term
+    return np.linalg.svd(np.concatenate(blocks), compute_uv=False)
+
+
+@st.composite
+def _small_pairs(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    # sparse small integers: plenty of pairs on both sides of the verdict
+    entries = st.one_of(st.just(0.0), st.integers(-3, 3).map(float))
+    return (
+        draw(arrays(float, (n, n), elements=entries)),
+        draw(arrays(float, (n, m), elements=entries)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_pairs())
+def test_early_exit_rank_test_matches_full_stack(pair):
+    # Stopping at the first full-rank prefix must agree with the rank of
+    # the whole stack whenever no singular value sits near the tolerance.
+    A, B = pair
+    s = _full_stack_singular_values(A, B)
+    if s[0] == 0.0:
+        full_rank = False
+    else:
+        ratio = s / s[0]
+        tol = riccati.RANK_TOL
+        assume(not np.any((ratio > tol / 10.0) & (ratio < tol * 10.0)))
+        full_rank = int(np.count_nonzero(ratio > tol)) == A.shape[0]
+    assert is_controllable(A, B) == full_rank
 
 
 def test_observability_is_dual():
