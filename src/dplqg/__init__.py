@@ -26,9 +26,7 @@ from .errors import (
     InapplicableBoundError,
 )
 from .lqg import (
-    EstimatorState,
     SynthesisResult,
-    control,
     filter_step,
     incremental_cost,
     moving_average_cost,
@@ -82,7 +80,6 @@ __all__ = [
     "ConvergenceError",
     "DpCheckResult",
     "EntropyBoundReport",
-    "EstimatorState",
     "ExperimentConfig",
     "FilterSynthesis",
     "GaussianStream",
@@ -98,7 +95,6 @@ __all__ = [
     "assemble_network",
     "build_network",
     "calibrate_sigma",
-    "control",
     "covariance_bound_condition",
     "covariance_upper_bound",
     "dare_residual_control",

@@ -127,9 +127,8 @@ def _agent_from_dict(entry, index):
             C=C,
             W=_matrix(entry["W"], f"{where}.W"),
             privacy=privacy,
-            x0_mean=np.asarray(entry.get("x0_mean", np.zeros(n)), dtype=float),
-            x0_true=None if "x0_true" not in entry
-            else np.asarray(entry["x0_true"], dtype=float),
+            x0_mean=entry.get("x0_mean", np.zeros(n)),
+            x0_true=entry.get("x0_true"),
             x0_cov=None if "x0_cov" not in entry
             else _matrix(entry["x0_cov"], f"{where}.x0_cov"),
         )

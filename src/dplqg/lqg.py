@@ -10,10 +10,12 @@ levels never changes L.
 The estimate is initialized to the public mean xhat(0) = E[x(0)] and the
 filter consumes measurements from step 1 on:
 
-    xhat(k+1) = (A + B L) xhat(k)
-                + SigmaBar C^T V^{-1} (ybar(k+1) - C (A + B L) xhat(k))
+    xpred(k+1) = A xhat(k) + B u(k)
+    xhat(k+1)  = xpred(k+1) + SigmaBar C^T V^{-1} (ybar(k+1) - C xpred(k+1))
 
-where SigmaBar C^T V^{-1} is FilterSynthesis.kalman_gain.
+where SigmaBar C^T V^{-1} is FilterSynthesis.kalman_gain. The prediction
+equals (A + B L) xhat(k), but written with the sent input u(k) it can be
+rerun by anyone holding the wire log (filter_step).
 """
 
 from dataclasses import dataclass
@@ -26,14 +28,6 @@ from .riccati import (
     solve_dare_control,
     solve_dare_filter,
 )
-
-
-@dataclass(frozen=True)
-class EstimatorState:
-    """Estimator value at one step: the estimate and its time index."""
-
-    x_hat: np.ndarray
-    k: int
 
 
 @dataclass(frozen=True)
@@ -75,41 +69,16 @@ def synthesize(model):
     )
 
 
-def control(est, L):
-    """Certainty-equivalent input u = L xhat for the current estimate."""
-    L = np.asarray(L, dtype=float)
-    return L @ est.x_hat
-
-
-def filter_step(est, y_bar_next, synthesis, closed_loop, C):
+def filter_step(A, B, C, gain, x_hat, u, y_bar_next):
     """Advance the stationary filter by one measurement.
 
-    Parameters
-    ----------
-    est : EstimatorState
-        Estimate at step k (already incorporating ybar(k)).
-    y_bar_next : array_like
-        Privatized measurement ybar(k+1).
-    synthesis : FilterSynthesis
-        Supplies the stationary gain SigmaBar C^T V^{-1}.
-    closed_loop : array_like
-        The matrix A + B L driving the estimate prediction.
-    C : array_like
-        Output matrix.
-
-    Returns
-    -------
-    EstimatorState
-        Estimate at step k+1.
+    x_hat is the estimate at step k, u the input sent at step k and
+    y_bar_next the privatized measurement ybar(k+1); gain is
+    FilterSynthesis.kalman_gain. Returns the estimate at step k+1. The
+    cloud and the eavesdropper's replay both run exactly this arithmetic.
     """
-    closed_loop = np.asarray(closed_loop, dtype=float)
-    C = np.asarray(C, dtype=float)
-    y_bar_next = np.asarray(y_bar_next, dtype=float)
-    predicted = closed_loop @ est.x_hat
-    innovation = y_bar_next - C @ predicted
-    return EstimatorState(
-        x_hat=predicted + synthesis.kalman_gain @ innovation, k=est.k + 1
-    )
+    predicted = A @ x_hat + B @ u
+    return predicted + gain @ (y_bar_next - C @ predicted)
 
 
 def incremental_cost(x, u, Q, R):

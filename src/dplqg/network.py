@@ -9,23 +9,25 @@ Protocol per step k (all agents, then the cloud, then all agents):
 3. the cloud sends u_i(k) to agent i, and only to agent i;
 4. every agent steps x_i(k+1) = A_i x_i(k) + B_i u_i(k) + w_i(k).
 
-Every message that crosses the wire is logged as a WireMessage; the
-eavesdropper's knowledge is exactly that log. True states, process noise,
-and the cost matrices Q and R never appear in it. replay_estimates shows
-what the log leaks: the cloud's entire estimate sequence is reconstructible
-from public model data plus the log, using the same arithmetic the cloud
-used. Simulations are bit-reproducible for a given master seed (see
-dplqg.rng for the stream discipline).
+The wire log is the trace's y_bar and u arrays; trace.messages views them
+as WireMessages in protocol order, built on demand. The eavesdropper's
+knowledge is exactly that log. True states, process noise, and the cost
+matrices Q and R never appear in it. replay_estimates shows what the log
+leaks: the cloud's entire estimate sequence is reconstructible from public
+model data plus the log, since the replay runs the cloud's own update
+(dplqg.lqg.filter_step). Simulations are bit-reproducible for a given master
+seed (see dplqg.rng for the stream discipline).
 """
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import AssumptionError
-from .lqg import incremental_cost, synthesize
+from .lqg import filter_step, incremental_cost, synthesize
 from .privacy import PrivacySpec, calibrate_sigma
 from .riccati import _check_symmetric_pd, is_controllable, is_observable
 from .rng import INIT_STATE, PRIVACY_NOISE, PROCESS_NOISE, derive_stream, psd_factor
@@ -35,15 +37,10 @@ CONTROL = "control"
 CLOUD = "cloud"
 
 
-def _agent_name(index):
-    return f"agent{index}"
-
-
-def _agent_index(name):
-    try:
-        return int(name.removeprefix("agent"))
-    except ValueError:
-        raise ValueError(f"not an agent endpoint: {name!r}") from None
+def _slices(dims):
+    """Consecutive slices of the given widths."""
+    offsets = np.concatenate(([0], np.cumsum(dims)))
+    return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 @dataclass(frozen=True)
@@ -73,31 +70,21 @@ class AgentModel:
         B = np.asarray(self.B, dtype=float)
         if B.ndim != 2 or B.shape[0] != n:
             raise ValueError(f"B must be {n} x m, got shape {B.shape}")
-        C = np.asarray(self.C, dtype=float)
-        if C.shape != (n, n):
-            raise ValueError(f"C must be {n} x {n}, got shape {C.shape}")
-        W = np.asarray(self.W, dtype=float)
-        if W.shape != (n, n):
-            raise ValueError(f"W must be {n} x {n}, got shape {W.shape}")
-        _check_symmetric_pd(W, "W")
-        x0_mean = np.asarray(self.x0_mean, dtype=float).reshape(-1)
-        if x0_mean.size != n:
-            raise ValueError(f"x0_mean must have {n} entries")
-        x0_true = self.x0_true
-        if x0_true is not None:
-            x0_true = np.asarray(x0_true, dtype=float).reshape(-1)
-            if x0_true.size != n:
-                raise ValueError(f"x0_true must have {n} entries")
-        x0_cov = self.x0_cov
-        if x0_cov is not None:
-            x0_cov = np.asarray(x0_cov, dtype=float)
-            if x0_cov.shape != (n, n):
-                raise ValueError(f"x0_cov must be {n} x {n}")
-        for name, value in (
-            ("A", A), ("B", B), ("C", C), ("W", W),
-            ("x0_mean", x0_mean), ("x0_true", x0_true), ("x0_cov", x0_cov),
-        ):
+        shapes = {"A": A.shape, "B": B.shape, "C": (n, n), "W": (n, n),
+                  "x0_mean": (n,), "x0_true": (n,), "x0_cov": (n, n)}
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if value is None and name in ("x0_true", "x0_cov"):
+                continue
+            value = np.asarray(value, dtype=float)
+            if len(shape) == 1:
+                value = value.reshape(-1)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got NaN or inf")
             object.__setattr__(self, name, value)
+        _check_symmetric_pd(self.W, "W")
 
     @property
     def n(self):
@@ -137,13 +124,11 @@ class NetworkModel:
 
     @property
     def state_slices(self):
-        offsets = np.concatenate(([0], np.cumsum(self.state_dims)))
-        return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+        return _slices(self.state_dims)
 
     @property
     def input_slices(self):
-        offsets = np.concatenate(([0], np.cumsum(self.input_dims)))
-        return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+        return _slices(self.input_dims)
 
 
 def assemble_network(agents, Q, R):
@@ -197,6 +182,89 @@ class WireMessage:
     payload: np.ndarray
 
 
+def _step_slots(n_agents):
+    """(kind, sender, receiver) of the 2 N messages of one step, in order."""
+    agents = [f"agent{i}" for i in range(n_agents)]
+    return ([(MEASUREMENT, a, CLOUD) for a in agents]
+            + [(CONTROL, CLOUD, a) for a in agents])
+
+
+class WireLog(Sequence):
+    """Read-only sequence of WireMessages over the arrays y_bar and u.
+
+    Agent i's entries sit in its state and input slices. Each step holds
+    2 N messages in protocol order: the N measurements agent0..agent{N-1}
+    -> cloud, then the N inputs cloud -> agent0..agent{N-1}. A message is
+    built, with a copy of its payload, only when indexed; a slice is a list.
+    """
+
+    def __init__(self, y_bar, u, state_dims, input_dims):
+        self.y_bar, self.u = (np.asarray(a, dtype=float).view() for a in (y_bar, u))
+        self.y_bar.flags.writeable = self.u.flags.writeable = False
+        self.state_dims, self.input_dims = tuple(state_dims), tuple(input_dims)
+        self._slots = _step_slots(len(self.state_dims))
+        self._slices = _slices(self.state_dims) + _slices(self.input_dims)
+
+    @classmethod
+    def from_messages(cls, messages, model):
+        """Parse WireMessages, in any order, into the log of `model`'s agents.
+
+        Raises ValueError for a (kind, sender, receiver) that is not one of
+        the network's 2 N, a step that is not an integer >= 0, a payload not
+        shaped like the agent's slice, and a (k, kind, agent) entry that is
+        duplicated or missing from steps 0..max k.
+        """
+        N = model.n_agents
+        slot_of = {slot: r for r, slot in enumerate(_step_slots(N))}
+        widths = model.state_dims + model.input_dims
+        payloads = {}
+        for msg in messages:
+            r = slot_of.get((msg.kind, msg.sender, msg.receiver))
+            if r is None:
+                raise ValueError(f"no {msg.kind!r} message goes from {msg.sender!r} "
+                                 f"to {msg.receiver!r} among {N} agents and the cloud")
+            if not isinstance(msg.k, (int, np.integer)) or msg.k < 0:
+                raise ValueError(f"step must be a non-negative integer, got {msg.k!r}")
+            if np.shape(msg.payload) != (widths[r],):
+                raise ValueError(f"{msg.kind} payload of shape {np.shape(msg.payload)} "
+                                 f"at step {msg.k}, expected ({widths[r]},)")
+            j = 2 * N * int(msg.k) + r
+            if j in payloads:
+                raise ValueError(f"duplicate {msg.kind} for {msg.sender} -> "
+                                 f"{msg.receiver} at step {msg.k}")
+            payloads[j] = msg.payload
+        T = max(payloads, default=-1) // (2 * N) + 1
+        if len(payloads) != 2 * N * T:
+            raise ValueError(f"wire log has {len(payloads)} of the {2 * N * T} "
+                             f"messages of steps 0..{T - 1}")
+        y_bar, u = np.empty((T, model.n)), np.empty((T, model.m))
+        slices = model.state_slices + model.input_slices
+        for j, payload in payloads.items():
+            k, r = divmod(j, 2 * N)
+            (y_bar if r < N else u)[k, slices[r]] = payload
+        return cls(y_bar, u, model.state_dims, model.input_dims)
+
+    @property
+    def horizon(self):
+        return self.y_bar.shape[0]
+
+    def __len__(self):
+        return len(self._slots) * self.horizon
+
+    def __getitem__(self, index):
+        j = range(len(self))[index]
+        if isinstance(j, range):
+            return [self[i] for i in j]
+        kind, sender, receiver, k, payload = self._entry(j)
+        return WireMessage(kind, sender, receiver, k, payload.copy())
+
+    def _entry(self, j):
+        """(kind, sender, receiver, k, payload view) of message j."""
+        k, r = divmod(j, len(self._slots))
+        array = self.y_bar if r < len(self.state_dims) else self.u
+        return (*self._slots[r], k, array[k, self._slices[r]])
+
+
 @dataclass(eq=False)
 class SimulationTrace:
     """Closed-loop run record, true (secret) side and wire side together.
@@ -204,9 +272,9 @@ class SimulationTrace:
     Row k of each array belongs to step k: the true state x(k), the cloud
     estimate xhat(k) used to form u(k), the input u(k), the privatized
     measurements ybar(k), the stage cost x(k)^T Q x(k) + u(k)^T R u(k), and
-    the running mean of stage costs 0..k. messages is the complete wire log
-    (2 N entries per step); x_hat0 is the public prior the estimator started
-    from.
+    the running mean of stage costs 0..k. y_bar and u are the whole wire
+    log, which messages views as 2 N WireMessages per step. x_hat0 is the
+    public prior the estimator started from.
     """
 
     x: np.ndarray
@@ -215,7 +283,6 @@ class SimulationTrace:
     y_bar: np.ndarray
     stage_cost: np.ndarray
     avg_cost: np.ndarray
-    messages: list
     x_hat0: np.ndarray
     state_dims: tuple
     input_dims: tuple
@@ -223,6 +290,10 @@ class SimulationTrace:
     @property
     def horizon(self):
         return self.stage_cost.shape[0]
+
+    @property
+    def messages(self):
+        return WireLog(self.y_bar, self.u, self.state_dims, self.input_dims)
 
 
 def agent_step(agent, x, u, stream, noise_factor=None):
@@ -232,23 +303,10 @@ def agent_step(agent, x, u, stream, noise_factor=None):
     and z standard normal, so the draw is reproducible from the stream
     state. Pass a precomputed factor to avoid refactorizing in a loop.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
     if noise_factor is None:
         noise_factor = psd_factor(agent.W)
     w = noise_factor @ stream.standard_normal(noise_factor.shape[1])
     return agent.A @ x + agent.B @ u + w
-
-
-def _predict_correct(A, B, u_prev, gain, C, x_hat, y_bar):
-    """One filter update written so a log replay is arithmetic-identical.
-
-    The prediction uses A xhat + B u with the already-computed input u,
-    which equals (A + B L) xhat but is computable by anyone holding the wire
-    log (the eavesdropper has u, not L).
-    """
-    predicted = A @ x_hat + B @ u_prev
-    return predicted + gain @ (y_bar - C @ predicted)
 
 
 def run_simulation(model, agents, horizon, seed, synthesis=None):
@@ -291,38 +349,24 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
         else:
             x[s_slices[i]] = ag.x0_mean
 
-    xs = np.empty((horizon, n))
-    x_hats = np.empty((horizon, n))
+    xs, x_hats, y_bars = (np.empty((horizon, n)) for _ in range(3))
     us = np.empty((horizon, m))
-    y_bars = np.empty((horizon, n))
-    stage = np.empty(horizon)
-    avg = np.empty(horizon)
-    messages = []
+    stage, avg = np.empty(horizon), np.empty(horizon)
 
     x_hat = x_hat0
     u_prev = None
     cost_sum = 0.0
     for k in range(horizon):
-        y_bar = np.empty(n)
+        y_bar = y_bars[k]
         for i, ag in enumerate(agents):
-            y_i = ag.C @ x[s_slices[i]] + model.sigmas[i] * privacy[
-                i
-            ].standard_normal(ag.n)
-            y_bar[s_slices[i]] = y_i
-            messages.append(
-                WireMessage(MEASUREMENT, _agent_name(i), CLOUD, k, y_i.copy())
-            )
+            noise = model.sigmas[i] * privacy[i].standard_normal(ag.n)
+            y_bar[s_slices[i]] = ag.C @ x[s_slices[i]] + noise
         if k > 0:
-            x_hat = _predict_correct(A, B, u_prev, gain, C, x_hat, y_bar)
+            x_hat = filter_step(A, B, C, gain, x_hat, u_prev, y_bar)
         u = L @ x_hat
-        for i in range(N):
-            messages.append(
-                WireMessage(CONTROL, CLOUD, _agent_name(i), k, u[i_slices[i]].copy())
-            )
         xs[k] = x
         x_hats[k] = x_hat
         us[k] = u
-        y_bars[k] = y_bar
         stage[k] = incremental_cost(x, u, model.Q, model.R)
         cost_sum += stage[k]
         avg[k] = cost_sum / (k + 1)
@@ -336,46 +380,37 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
 
     return SimulationTrace(
         x=xs, x_hat=x_hats, u=us, y_bar=y_bars,
-        stage_cost=stage, avg_cost=avg, messages=messages, x_hat0=x_hat0,
+        stage_cost=stage, avg_cost=avg, x_hat0=x_hat0,
         state_dims=model.state_dims, input_dims=model.input_dims,
     )
 
 
 def eavesdropper_view(trace):
     """The wire log and nothing else: what a passive listener knows."""
-    return list(trace.messages)
+    return trace.messages
 
 
 def replay_estimates(messages, model, filter_synthesis, x_hat0):
     """Reconstruct the cloud's estimates from the wire log alone.
 
-    Needs only public information: the model matrices (A, B, C), the filter
-    gain (derivable from A, C, W, V without the secret Q and R), the public
-    prior, and the logged messages. The result matches the cloud's xhat
+    messages is a WireLog or a list of WireMessages (parsed first by
+    WireLog.from_messages). Needs only public information: the model
+    matrices (A, B, C), the filter gain (derivable from A, C, W, V without
+    the secret Q and R), the public prior, and the log. The replay runs the
+    cloud's own filter_step, so the result matches the cloud's xhat
     sequence bit for bit. Returns a (T, n) array.
     """
-    x_hat0 = np.asarray(x_hat0, dtype=float)
-    if not messages:
-        return np.zeros((0, model.n))
-    T = max(msg.k for msg in messages) + 1
-    y_bar = np.zeros((T, model.n))
-    u = np.zeros((T, model.m))
-    s_slices = model.state_slices
-    i_slices = model.input_slices
-    for msg in messages:
-        if msg.kind == MEASUREMENT:
-            y_bar[msg.k, s_slices[_agent_index(msg.sender)]] = msg.payload
-        elif msg.kind == CONTROL:
-            u[msg.k, i_slices[_agent_index(msg.receiver)]] = msg.payload
-        else:
-            raise ValueError(f"unknown message kind {msg.kind!r}")
+    log = messages if isinstance(messages, WireLog) else WireLog.from_messages(
+        messages, model)
+    if (log.state_dims, log.input_dims) != (model.state_dims, model.input_dims):
+        raise ValueError("the wire log's agent dimensions do not match the model")
     A, B, C = model.A, model.B, model.C
     gain = filter_synthesis.kalman_gain
-    out = np.empty((T, model.n))
-    out[0] = x_hat0
-    x_hat = x_hat0
-    for k in range(1, T):
-        x_hat = _predict_correct(A, B, u[k - 1], gain, C, x_hat, y_bar[k])
+    x_hat = np.asarray(x_hat0, dtype=float)
+    out = np.empty((log.horizon, model.n))
+    for k in range(log.horizon):
+        if k > 0:
+            x_hat = filter_step(A, B, C, gain, x_hat, log.u[k - 1], log.y_bar[k])
         out[k] = x_hat
     return out
 
@@ -388,6 +423,11 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _padded(vec, width):
+    cells = [_fmt(v) for v in vec]
+    return cells + [""] * (width - len(cells))
+
+
 def write_trace_csv(trace, path):
     """Write a trace as one CSV row per (step, agent).
 
@@ -398,48 +438,38 @@ def write_trace_csv(trace, path):
     step. Floats are written with repr, so identical traces give identical
     bytes.
     """
-    max_n = max(trace.state_dims)
-    max_m = max(trace.input_dims)
+    p, q = max(trace.state_dims), max(trace.input_dims)
     header = ["k", "agent_id"]
-    header += [f"x{j}" for j in range(max_n)]
-    header += [f"xhat{j}" for j in range(max_n)]
-    header += [f"u{j}" for j in range(max_m)]
-    header += [f"ybar{j}" for j in range(max_n)]
+    for name, width in (("x", p), ("xhat", p), ("u", q), ("ybar", p)):
+        header += [f"{name}{j}" for j in range(width)]
     header += ["stage_cost", "avg_cost"]
-    s_offsets = np.concatenate(([0], np.cumsum(trace.state_dims)))
-    i_offsets = np.concatenate(([0], np.cumsum(trace.input_dims)))
+    slices = list(zip(_slices(trace.state_dims), _slices(trace.input_dims)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for k in range(trace.horizon):
-            for i, (n_i, m_i) in enumerate(zip(trace.state_dims, trace.input_dims)):
-                s = slice(s_offsets[i], s_offsets[i + 1])
-                t = slice(i_offsets[i], i_offsets[i + 1])
-                def padded(vec, width):
-                    cells = [_fmt(v) for v in vec]
-                    return cells + [""] * (width - len(cells))
-                row = [str(k), str(i)]
-                row += padded(trace.x[k, s], max_n)
-                row += padded(trace.x_hat[k, s], max_n)
-                row += padded(trace.u[k, t], max_m)
-                row += padded(trace.y_bar[k, s], max_n)
-                row += [_fmt(trace.stage_cost[k]), _fmt(trace.avg_cost[k])]
-                writer.writerow(row)
+            costs = [_fmt(trace.stage_cost[k]), _fmt(trace.avg_cost[k])]
+            for i, (s, t) in enumerate(slices):
+                writer.writerow(
+                    [str(k), str(i)] + _padded(trace.x[k, s], p)
+                    + _padded(trace.x_hat[k, s], p) + _padded(trace.u[k, t], q)
+                    + _padded(trace.y_bar[k, s], p) + costs
+                )
 
 
-def write_messages_csv(messages, path):
-    """Write a wire log as CSV: kind, sender, receiver, k, payload cells.
+def write_messages_csv(log, path):
+    """Write a WireLog as CSV: kind, sender, receiver, k, payload cells.
 
-    Payload columns run to the widest payload in the log; shorter payloads
-    leave trailing cells empty.
+    Rows come in the log's protocol order, formatted straight from its
+    arrays. Payload columns run to the widest agent state or input
+    dimension (none for an empty log); narrower payloads leave trailing
+    cells empty.
     """
-    width = max((msg.payload.size for msg in messages), default=0)
-    header = ["kind", "sender", "receiver", "k"]
-    header += [f"payload{j}" for j in range(width)]
+    width = max(log.state_dims + log.input_dims) if len(log) else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for msg in messages:
-            cells = [_fmt(v) for v in msg.payload]
-            cells += [""] * (width - len(cells))
-            writer.writerow([msg.kind, msg.sender, msg.receiver, str(msg.k)] + cells)
+        writer.writerow(["kind", "sender", "receiver", "k"]
+                        + [f"payload{j}" for j in range(width)])
+        for j in range(len(log)):
+            kind, sender, receiver, k, payload = log._entry(j)
+            writer.writerow([kind, sender, receiver, str(k)] + _padded(payload, width))

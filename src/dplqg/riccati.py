@@ -84,6 +84,8 @@ def _dual_pair(A, C):
 
 def _check_symmetric_pd(M, name):
     M = _as_square(M, name)
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must be finite, got NaN or inf")
     scale = max(1.0, float(np.abs(M).max()))
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * scale):
         raise AssumptionError(f"{name} must be symmetric")

@@ -345,6 +345,29 @@ def test_cli_exit_code_invalid_config(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("field", ["x0_mean", "A"])
+def test_config_rejects_non_finite_agent_numbers(tmp_path, capsys, field):
+    values = {"x0_mean": [float("inf"), 0.0], "A": [[float("nan"), 0.1], [0.0, 1.0]]}
+    path = _write_config(tmp_path, _config_dict(agents=[_agent_dict(
+        **{field: values[field]})]))
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        load(path)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "sweep-epsilon"])
+def test_cli_rejects_non_finite_cost(tmp_path, capsys, verb):
+    raw = _config_dict(cost={"Q": [[1.0, 0.0], [0.0, float("-inf")]], "R": [[1.0]]})
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out)]) == 2
+    assert "Q must be finite" in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
 def test_cli_exit_code_assumption_failure(tmp_path):
     raw = _config_dict(agents=[_agent_dict(A=[[1.0]], B=[[0.0]], W=[[1.0]])],
                        cost={"Q": [[1.0]], "R": [[1.0]]})

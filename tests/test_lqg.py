@@ -5,9 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dplqg.lqg import (
-    EstimatorState,
-    SynthesisResult,
-    control,
     filter_step,
     incremental_cost,
     moving_average_cost,
@@ -61,40 +58,32 @@ def test_feedback_gain_ignores_privacy_level():
     assert not np.array_equal(syn_tight.kalman_gain, syn_loose.kalman_gain)
 
 
-def test_control_is_matrix_vector_product():
-    L = np.array([[-0.5, -0.7]])
-    est = EstimatorState(x_hat=np.array([2.0, -1.0]), k=4)
-    u = control(est, L)
-    assert u.shape == (1,)
-    assert u[0] == -0.5 * 2.0 + -0.7 * -1.0
-
-
 def test_filter_step_scalar_hand_computation():
     # Scalar system, all quantities chosen so the update is checkable by
-    # hand: f = closed loop, g = gain.
-    f = 0.8
-    g = 0.25
-    syn = SynthesisResult(
-        K=np.eye(1), L=np.array([[-0.2]]), Sigma=np.eye(1),
-        SigmaBar=np.eye(1), kalman_gain=np.array([[g]]),
-    )
-    est = EstimatorState(x_hat=np.array([2.0]), k=0)
-    y_next = np.array([1.0])
-    out = filter_step(est, y_next, syn.filter, np.array([[f]]), np.eye(1))
-    predicted = f * 2.0
+    # hand: predict with a x + b u, then correct with gain g.
+    a, b, g = 0.8, 0.5, 0.25
+    out = filter_step(np.array([[a]]), np.array([[b]]), np.eye(1),
+                      np.array([[g]]), np.array([2.0]), np.array([-0.4]),
+                      np.array([1.0]))
+    predicted = a * 2.0 + b * -0.4
     expected = predicted + g * (1.0 - predicted)
-    assert out.k == 1
-    assert out.x_hat[0] == expected
+    assert out.shape == (1,)
+    assert out[0] == expected
 
 
-def test_filter_step_advances_index_and_shape():
+def test_filter_step_input_form_matches_closed_loop_form():
+    # With u = L xhat the input-form prediction is (A + B L) xhat, so the
+    # update agrees with the closed-loop form up to rounding.
     model, _ = _two_state_network()
     syn = synthesize(model)
-    closed = model.A + model.B @ syn.L
-    est = EstimatorState(x_hat=np.zeros(2), k=7)
-    out = filter_step(est, np.array([0.3, -0.2]), syn.filter, closed, model.C)
-    assert out.k == 8
-    assert out.x_hat.shape == (2,)
+    x_hat = np.array([0.7, -1.1])
+    y_next = np.array([0.3, -0.2])
+    out = filter_step(model.A, model.B, model.C, syn.kalman_gain, x_hat,
+                      syn.L @ x_hat, y_next)
+    predicted = (model.A + model.B @ syn.L) @ x_hat
+    expected = predicted + syn.kalman_gain @ (y_next - model.C @ predicted)
+    assert out.shape == (2,)
+    assert_allclose(out, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_stationary_filter_error_matches_filtered_covariance():

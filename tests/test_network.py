@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dplqg.errors import AssumptionError
 from dplqg.lqg import synthesize
 from dplqg.network import (
@@ -14,7 +17,7 @@ from dplqg.network import (
     MEASUREMENT,
     AgentModel,
     NetworkModel,
-    WireMessage,
+    WireLog,
     agent_step,
     assemble_network,
     eavesdropper_view,
@@ -75,6 +78,26 @@ def test_agent_model_validation():
             W=np.diag([1.0, 0.0]),  # singular W
             privacy=PrivacySpec(1.0, 0.1), x0_mean=np.zeros(2),
         )
+
+
+@pytest.mark.parametrize("field", ["A", "B", "C", "W", "x0_mean", "x0_true", "x0_cov"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_agent_model_rejects_non_finite_numbers(field, bad):
+    fields = dict(A=np.eye(2), B=np.ones((2, 1)), C=np.eye(2), W=np.eye(2),
+                  x0_mean=np.zeros(2), x0_true=np.zeros(2), x0_cov=np.eye(2))
+    fields[field] = fields[field].copy()
+    fields[field].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        AgentModel(privacy=PrivacySpec(1.0, 0.1), **fields)
+
+
+def test_assemble_network_rejects_non_finite_costs():
+    agents = [_scalar_agent()]
+    with pytest.raises(ValueError, match="Q must be finite") as info:
+        assemble_network(agents, Q=np.array([[np.nan]]), R=np.eye(1))
+    assert not isinstance(info.value, AssumptionError)
+    with pytest.raises(ValueError, match="R must be finite"):
+        assemble_network(agents, Q=np.eye(1), R=np.array([[np.inf]]))
 
 
 def test_assemble_network_block_structure():
@@ -230,7 +253,7 @@ def test_horizon_zero_and_agent_mismatch():
     model, agents = _two_agent_setup()
     empty = run_simulation(model, agents, horizon=0, seed=1)
     assert empty.x.shape == (0, 4)
-    assert empty.messages == []
+    assert len(empty.messages) == 0
     with pytest.raises(ValueError):
         run_simulation(model, agents[:1], horizon=5, seed=1)
     with pytest.raises(ValueError):
@@ -305,12 +328,122 @@ def test_replay_empty_log():
     assert replayed.shape == (0, 4)
 
 
-def test_replay_rejects_unknown_message_kind():
-    model, _ = _two_agent_setup()
+def _corrupt(messages, j, **changes):
+    return messages[:j] + [replace(messages[j], **changes)] + messages[j + 1:]
+
+
+# Two agents with 2 states and 1 input each: per step, messages 0-1 are the
+# measurements and 2-3 the inputs.
+MALFORMED_LOGS = {
+    "unknown kind": lambda msgs: _corrupt(msgs, 0, kind="gossip"),
+    "sender agent-1": lambda msgs: _corrupt(msgs, 1, sender="agent-1"),
+    "receiver agent9": lambda msgs: _corrupt(msgs, 2, receiver="agent9"),
+    "sender agent01": lambda msgs: _corrupt(msgs, 1, sender="agent01"),
+    "measurement to an agent": lambda msgs: _corrupt(msgs, 0, receiver="agent1"),
+    "short payload": lambda msgs: _corrupt(msgs, 0, payload=np.zeros(1)),
+    "long payload": lambda msgs: _corrupt(msgs, 3, payload=np.zeros(2)),
+    "negative step": lambda msgs: _corrupt(msgs, 0, k=-1),
+    "missing entry": lambda msgs: msgs[:5] + msgs[6:],
+    "duplicated entry": lambda msgs: msgs + [msgs[5]],
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_LOGS.values(), ids=MALFORMED_LOGS)
+def test_replay_rejects_unknown_message_kind(corrupt):
+    model, agents = _two_agent_setup()
     syn = synthesize(model)
-    bogus = [WireMessage("gossip", "agent0", CLOUD, 0, np.zeros(2))]
+    trace = run_simulation(model, agents, horizon=3, seed=2, synthesis=syn)
+    bogus = corrupt(list(trace.messages))
     with pytest.raises(ValueError):
-        replay_estimates(bogus, model, syn.filter, np.zeros(4))
+        replay_estimates(bogus, model, syn.filter, trace.x_hat0)
+
+
+def test_replay_rejects_a_log_of_other_agents():
+    model, agents = _two_agent_setup()
+    syn = synthesize(model)
+    trace = run_simulation(model, agents, horizon=3, seed=2, synthesis=syn)
+    scalar = _scalar_agent()
+    other = assemble_network([scalar] * 4, Q=np.eye(4), R=np.eye(4))
+    with pytest.raises(ValueError, match="dimensions"):
+        replay_estimates(trace.messages, other, syn.filter, trace.x_hat0)
+
+
+def test_wire_log_view_indexing():
+    model, agents = _two_agent_setup()
+    trace = run_simulation(model, agents, horizon=4, seed=3)
+    log = trace.messages
+    every = list(log)
+    assert len(every) == len(log) == 16
+    assert log[-1].k == 3 and log[-1].receiver == "agent1"
+    assert [m.k for m in log[2:16:5]] == [m.k for m in every[2:16:5]]
+    with pytest.raises(IndexError):
+        log[16]
+    # payloads are copies; the log's arrays cannot be written through it
+    every[0].payload[:] = 0.0
+    assert np.array_equal(log[0].payload, trace.y_bar[0, :2])
+    with pytest.raises(ValueError):
+        log.y_bar[0, 0] = 1.0
+
+
+@st.composite
+def _networks(draw):
+    """Small controllable, observable networks: N <= 4, dims <= 3."""
+    agents = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 3))
+        m = draw(st.integers(1, 3))
+        a = draw(st.floats(0.5, 1.2))
+        # a I plus a superdiagonal, driven through the last state: the
+        # Krylov matrix of (A, e_n) is triangular with a nonzero diagonal.
+        A = a * np.eye(n) + 0.1 * np.eye(n, k=1)
+        B = np.zeros((n, m))
+        B[-1, 0] = 1.0
+        B[:, 1:] = np.array(draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=n * (m - 1), max_size=n * (m - 1),
+        ))).reshape(n, m - 1)
+        privacy = PrivacySpec(epsilon=draw(st.floats(0.2, 3.0)),
+                              delta=draw(st.floats(0.05, 0.45)))
+        agents.append(AgentModel(
+            A=A, B=B, C=np.eye(n), W=draw(st.floats(0.1, 2.0)) * np.eye(n),
+            privacy=privacy, x0_mean=np.zeros(n), x0_cov=np.eye(n),
+        ))
+    n_total = sum(ag.n for ag in agents)
+    m_total = sum(ag.m for ag in agents)
+    model = assemble_network(agents, Q=np.eye(n_total), R=np.eye(m_total))
+    return model, agents
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=_networks(), horizon=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_wire_log_round_trip_and_replay_property(net, horizon, seed):
+    model, agents = net
+    syn = synthesize(model)
+    trace = run_simulation(model, agents, horizon, seed, synthesis=syn)
+    N, T = model.n_agents, horizon
+    log = eavesdropper_view(trace)
+    assert len(log) == 2 * N * T
+    assert np.array_equal(replay_estimates(log, model, syn.filter, trace.x_hat0),
+                          trace.x_hat)
+
+    messages = list(log)
+    parsed = WireLog.from_messages(messages, model)
+    assert np.array_equal(parsed.y_bar, trace.y_bar)
+    assert np.array_equal(parsed.u, trace.u)
+    assert np.array_equal(
+        replay_estimates(parsed, model, syn.filter, trace.x_hat0), trace.x_hat)
+
+    agent_names = [f"agent{i}" for i in range(N)]
+    expected_order = []
+    for k in range(T):
+        expected_order += [(k, MEASUREMENT, a, CLOUD) for a in agent_names]
+        expected_order += [(k, CONTROL, CLOUD, a) for a in agent_names]
+    assert [(m.k, m.kind, m.sender, m.receiver) for m in messages] == expected_order
+    for k in range(T):
+        step = messages[2 * N * k: 2 * N * (k + 1)]
+        assert np.array_equal(np.concatenate([m.payload for m in step[:N]]),
+                              trace.y_bar[k])
+        assert np.array_equal(np.concatenate([m.payload for m in step[N:]]),
+                              trace.u[k])
 
 
 def test_wire_never_carries_true_state_values():
