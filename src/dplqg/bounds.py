@@ -12,12 +12,15 @@ output maps:
   that grows with the privacy noise. More privacy noise (larger sigma)
   provably forces a noisier eavesdropper estimate.
 
-All bounds take the aggregate matrices (A, W, C, V) with C diagonal and V
-diagonal positive (V carries the per-coordinate privacy noise variances).
+All bounds take the aggregate matrices (A, W, C, V), finite, with C diagonal
+and V diagonal positive (V carries the per-coordinate privacy noise
+variances). Each bound reads from one _bound_terms call, which validates
+them and computes every term the bounds share.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -26,11 +29,19 @@ from .errors import InapplicableBoundError
 from .riccati import solve_dare_filter
 
 
-def _validate_bound_inputs(A, W, C, V):
-    A = np.asarray(A, dtype=float)
-    W = np.asarray(W, dtype=float)
-    C = np.asarray(C, dtype=float)
-    V = np.asarray(V, dtype=float)
+def _bound_terms(A, W, C, V):
+    """Validate (A, W, C, V) once and compute the terms the bounds share.
+
+    Returns a namespace of the validated A, W (symmetrized), C, V and: s,
+    the singular values of A (descending); w_eig, the eigenvalues of W
+    (ascending); gamma, the posterior variances; leverage,
+    min_i C_ii^2/V_ii = lambda_min(C^T V^{-1} C); floor; margin, the
+    condition margin; holds.
+    """
+    A, W, C, V = (np.asarray(M, dtype=float) for M in (A, W, C, V))
+    for name, M in (("A", A), ("W", W), ("C", C), ("V", V)):
+        if not np.isfinite(M).all():
+            raise ValueError(f"{name} must be finite, got NaN or inf")
     n = A.shape[0]
     if A.ndim != 2 or A.shape[1] != n:
         raise ValueError(f"A must be square, got {A.shape}")
@@ -48,7 +59,17 @@ def _validate_bound_inputs(A, W, C, V):
         raise ValueError("W must be symmetric")
     if not np.all(np.diag(W) > 0.0):
         raise ValueError("W must have positive diagonal")
-    return A, 0.5 * (W + W.T), C, V
+    W = 0.5 * (W + W.T)
+    w, c, v = np.diag(W), np.diag(C), np.diag(V)
+    gamma = v * w / (v + c * c * w)
+    s = np.linalg.svd(A, compute_uv=False)
+    w_eig = np.linalg.eigvalsh(W)
+    leverage = float((c * c / v).min())
+    floor = float(s[-1] ** 2 * float(gamma.max()) + w_eig[0])
+    margin = 1.0 + floor * leverage - float(s[0] ** 2)
+    return SimpleNamespace(A=A, W=W, C=C, V=V, s=s, w_eig=w_eig, gamma=gamma,
+                           leverage=leverage, floor=floor, margin=margin,
+                           holds=margin > 0.0)
 
 
 def posterior_variance_diag(W, C, V):
@@ -62,15 +83,7 @@ def posterior_variance_diag(W, C, V):
     Returns the diagonal as a vector. Entries are positive, increase with
     V_ii, and approach W_ii as the privacy noise grows.
     """
-    W = np.asarray(W, dtype=float)
-    C = np.asarray(C, dtype=float)
-    V = np.asarray(V, dtype=float)
-    n = W.shape[0]
-    _, W, C, V = _validate_bound_inputs(np.eye(n), W, C, V)
-    w = np.diag(W)
-    c = np.diag(C)
-    v = np.diag(V)
-    return v * w / (v + c * c * w)
+    return _bound_terms(np.eye(np.shape(W)[0]), W, C, V).gamma
 
 
 def variance_floor(A, W, C, V):
@@ -80,17 +93,7 @@ def variance_floor(A, W, C, V):
     The steady prediction covariance satisfies lambda_max(Sigma) >= floor
     for every model, hypothesis-free.
     """
-    A, W, C, V = _validate_bound_inputs(A, W, C, V)
-    s = np.linalg.svd(A, compute_uv=False)
-    gamma_max = float(posterior_variance_diag(W, C, V).max())
-    return float(s[-1] ** 2 * gamma_max + np.linalg.eigvalsh(W)[0])
-
-
-def _privacy_leverage(C, V):
-    """min_i C_ii^2 / V_ii, i.e. lambda_min(C^T V^{-1} C) for diagonal C, V."""
-    c = np.diag(np.asarray(C, dtype=float))
-    v = np.diag(np.asarray(V, dtype=float))
-    return float((c * c / v).min())
+    return _bound_terms(A, W, C, V).floor
 
 
 def covariance_bound_condition(A, W, C, V):
@@ -100,11 +103,8 @@ def covariance_bound_condition(A, W, C, V):
     Returns (holds, margin) with margin = right side minus left side;
     a positive margin means the cap applies.
     """
-    A, W, C, V = _validate_bound_inputs(A, W, C, V)
-    s = np.linalg.svd(A, compute_uv=False)
-    floor = variance_floor(A, W, C, V)
-    margin = 1.0 + floor * _privacy_leverage(C, V) - float(s[0] ** 2)
-    return margin > 0.0, float(margin)
+    terms = _bound_terms(A, W, C, V)
+    return terms.holds, terms.margin
 
 
 def covariance_upper_bound(A, W, C, V):
@@ -114,15 +114,14 @@ def covariance_upper_bound(A, W, C, V):
     - s_max(A)^2). Raises InapplicableBoundError when the spectral condition
     fails; no bound is emitted in that case.
     """
-    A, W, C, V = _validate_bound_inputs(A, W, C, V)
-    holds, margin = covariance_bound_condition(A, W, C, V)
-    if not holds:
+    terms = _bound_terms(A, W, C, V)
+    if not terms.holds:
         raise InapplicableBoundError(
-            f"covariance cap condition fails (margin {margin:.6g})",
-            margin=margin,
+            f"covariance cap condition fails (margin {terms.margin:.6g})",
+            margin=terms.margin,
         )
-    coef = float(np.linalg.eigvalsh(W)[-1]) / margin
-    return coef * (A @ A.T) + W
+    coef = float(terms.w_eig[-1]) / terms.margin
+    return coef * (terms.A @ terms.A.T) + terms.W
 
 
 def logdet(M):
@@ -183,7 +182,8 @@ class EntropyBoundReport:
     homogeneous_estimate: Optional[float] = None
 
     def kv_lines(self):
-        """Flat key = value lines for the text report."""
+        """Flat key = value lines for the text report; the four cap lines
+        follow the verdict and the floors only when the condition holds."""
 
         def fmt(v):
             if v is None:
@@ -199,7 +199,8 @@ class EntropyBoundReport:
             "posterior_floor_diag", "logdet_covariance", "entropy_bound",
             "privacy_term", "homogeneous_estimate",
         )
-        return [f"{key} = {fmt(getattr(self, key))}" for key in keys]
+        shown = keys if self.condition_holds else keys[:4]
+        return [f"{key} = {fmt(getattr(self, key))}" for key in shown]
 
 
 def _is_homogeneous(W, C, V):
@@ -227,38 +228,32 @@ def entropy_bound_report(A, W, C, V):
     (negative) margin and the floors, leaves the cap fields None, and Sigma
     is not solved for.
     """
-    A, W, C, V = _validate_bound_inputs(A, W, C, V)
-    gamma = tuple(float(g) for g in posterior_variance_diag(W, C, V))
-    floor = variance_floor(A, W, C, V)
-    holds, margin = covariance_bound_condition(A, W, C, V)
-    if not holds:
-        return EntropyBoundReport(
-            posterior_floor_diag=gamma,
-            variance_floor=floor,
-            condition_holds=False,
-            condition_margin=margin,
-        )
-    s = np.linalg.svd(A, compute_uv=False)
-    leverage = _privacy_leverage(C, V)
-    privacy_term = float(
-        s[-1] ** 2 * max(gamma) * leverage + np.linalg.eigvalsh(W)[0] * leverage
+    terms = _bound_terms(A, W, C, V)
+    gamma = tuple(float(g) for g in terms.gamma)
+    report = EntropyBoundReport(
+        posterior_floor_diag=gamma,
+        variance_floor=terms.floor,
+        condition_holds=terms.holds,
+        condition_margin=terms.margin,
     )
-    coef = float(np.linalg.eigvalsh(W)[-1]) / (1.0 + privacy_term - s[0] ** 2)
-    bound = float(coef * np.sum(s * s) + np.trace(W))
-    filt = solve_dare_filter(A, C, W, V)
-    ld = logdet(filt.Sigma)
+    if not terms.holds:
+        return report
+    A, W, C, V, s, lam = terms.A, terms.W, terms.C, terms.V, terms.s, terms.w_eig
+    # 1 + privacy_term - s_max^2 equals terms.margin only in exact
+    # arithmetic; the report's numbers are defined by this form
+    privacy_term = float(
+        s[-1] ** 2 * max(gamma) * terms.leverage + lam[0] * terms.leverage
+    )
+    coef = float(lam[-1]) / (1.0 + privacy_term - s[0] ** 2)
     homogeneous = None
     if _is_homogeneous(W, C, V):
         homogeneous = homogeneous_entropy_estimate(
             A, float(np.diag(W)[0]), math.sqrt(float(np.diag(V)[0]))
         )
-    return EntropyBoundReport(
-        posterior_floor_diag=gamma,
-        variance_floor=floor,
-        condition_holds=True,
-        condition_margin=margin,
-        logdet_covariance=ld,
-        entropy_bound=bound,
+    return replace(
+        report,
+        logdet_covariance=logdet(solve_dare_filter(A, C, W, V).Sigma),
+        entropy_bound=float(coef * np.sum(s * s) + np.trace(W)),
         privacy_term=privacy_term,
         homogeneous_estimate=homogeneous,
     )

@@ -201,13 +201,12 @@ def cmd_bound(cfg, out=None):
     out_dir = _out_dir(cfg, out)
     path = out_dir / "bound_report.txt"
     report = entropy_bound_report(model.A, model.W, model.C, model.V)
+    status = "applicable" if report.condition_holds else "inapplicable"
+    _write_kv([f"status = {status}"] + report.kv_lines(), path)
     if not report.condition_holds:
-        # the verdict and the floors; the cap fields are all none
-        _write_kv(["status = inapplicable"] + report.kv_lines()[:4], path)
         print(f"entropy cap not applicable "
               f"(margin {report.condition_margin:.6g}); verdict written to {path}")
         return 5
-    _write_kv(["status = applicable"] + report.kv_lines(), path)
     print(f"wrote entropy bound report to {path}")
     return 0
 

@@ -305,8 +305,7 @@ def agent_step(agent, x, u, stream, noise_factor=None):
     """
     if noise_factor is None:
         noise_factor = psd_factor(agent.W)
-    w = noise_factor @ stream.standard_normal(noise_factor.shape[1])
-    return agent.A @ x + agent.B @ u + w
+    return agent.A @ x + agent.B @ u + stream.correlated(noise_factor)
 
 
 def run_simulation(model, agents, horizon, seed, synthesis=None):
@@ -344,8 +343,7 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
             x[s_slices[i]] = ag.x0_true
         elif ag.x0_cov is not None:
             init = derive_stream(seed, i, INIT_STATE)
-            f0 = psd_factor(ag.x0_cov)
-            x[s_slices[i]] = ag.x0_mean + f0 @ init.standard_normal(f0.shape[1])
+            x[s_slices[i]] = ag.x0_mean + init.correlated(psd_factor(ag.x0_cov))
         else:
             x[s_slices[i]] = ag.x0_mean
 
@@ -359,7 +357,7 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     for k in range(horizon):
         y_bar = y_bars[k]
         for i, ag in enumerate(agents):
-            noise = model.sigmas[i] * privacy[i].standard_normal(ag.n)
+            noise = privacy[i].normal(model.sigmas[i], ag.n)
             y_bar[s_slices[i]] = ag.C @ x[s_slices[i]] + noise
         if k > 0:
             x_hat = filter_step(A, B, C, gain, x_hat, u_prev, y_bar)

@@ -181,6 +181,17 @@ def q_inverse(p):
     return y
 
 
+def _privacy_params(epsilon, delta):
+    """(epsilon, delta) as floats; ValueError unless epsilon is finite and
+    positive and 0 < delta <= 1/2."""
+    epsilon, delta = float(epsilon), float(delta)
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < delta <= 0.5:
+        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+    return epsilon, delta
+
+
 def kappa(delta, epsilon):
     """Gaussian mechanism calibration factor.
 
@@ -194,19 +205,14 @@ def kappa(delta, epsilon):
         Failure probability, 0 < delta <= 1/2. The strict interior is the
         recommended operating range; at delta = 1/2 the tail quantile K is 0.
     epsilon : float
-        Privacy loss, epsilon > 0.
+        Privacy loss, finite and > 0.
 
     Returns
     -------
     float
         The calibration factor. Strictly decreasing in both arguments.
     """
-    delta = float(delta)
-    epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+    epsilon, delta = _privacy_params(epsilon, delta)
     k = q_inverse(delta)
     return (k + math.sqrt(k * k + 2.0 * epsilon)) / (2.0 * epsilon)
 
@@ -229,13 +235,10 @@ class PrivacySpec:
     adjacency_bound: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "delta", float(self.delta))
+        epsilon, delta = _privacy_params(self.epsilon, self.delta)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "adjacency_bound", float(self.adjacency_bound))
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.delta <= 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2], got {self.delta}")
         if not (math.isfinite(self.adjacency_bound) and self.adjacency_bound > 0.0):
             raise ValueError(
                 f"adjacency_bound must be positive, got {self.adjacency_bound}"
@@ -317,7 +320,7 @@ def privatize_output(y, scale, stream):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("output must be a vector")
-    return y + scale.sigma * stream.standard_normal(y.size)
+    return y + stream.normal(scale.sigma, y.size)
 
 
 # ----------------------------------------------------------------------
@@ -348,11 +351,11 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta, grid_points=2001):
     Parameters
     ----------
     delta_2 : float
-        Sensitivity of the release, >= 0.
+        Sensitivity of the release, finite and >= 0.
     sigma : float
-        Noise standard deviation, > 0.
+        Noise standard deviation, finite and > 0.
     epsilon, delta : float
-        Privacy parameters; epsilon > 0, 0 < delta <= 1/2.
+        Privacy parameters; epsilon finite and > 0, 0 < delta <= 1/2.
     grid_points : int
         Number of thresholds on the sweep (default 2001).
 
@@ -364,16 +367,11 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta, grid_points=2001):
     """
     delta_2 = float(delta_2)
     sigma = float(sigma)
-    epsilon = float(epsilon)
-    delta = float(delta)
-    if not delta_2 >= 0.0:
+    if not (math.isfinite(delta_2) and delta_2 >= 0.0):
         raise ValueError(f"sensitivity must be >= 0, got {delta_2}")
-    if not sigma > 0.0:
+    if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+    epsilon, delta = _privacy_params(epsilon, delta)
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     t = np.linspace(-10.0 * sigma, 10.0 * sigma, int(grid_points))

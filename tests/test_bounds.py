@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import dplqg.bounds as bounds
@@ -93,6 +96,12 @@ def test_report_kv_lines_format():
     assert any(line.startswith("entropy_bound = ") for line in lines)
     joined = "\n".join(lines)
     assert "variance_floor = 1.125" in joined
+    # an inapplicable report writes the verdict and the floors, no cap lines
+    rep = entropy_bound_report(2.0 * ONE, ONE, ONE, 100.0 * ONE)
+    assert [line.split(" = ")[0] for line in rep.kv_lines()] == [
+        "condition_holds", "condition_margin", "variance_floor",
+        "posterior_floor_diag",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +182,34 @@ def test_entropy_bound_is_strict_on_applicable_instances():
             continue
         assert rep.logdet_covariance < rep.entropy_bound
         seen += 1
+
+
+@st.composite
+def _diagonal_output_instances(draw):
+    n = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    A = draw(arrays(float, (n, n), elements=unit)) * draw(st.floats(0.05, 2.0))
+    G = draw(arrays(float, (n, n), elements=unit))
+    c = draw(arrays(float, n, elements=st.floats(0.3, 2.0)))
+    v = draw(arrays(float, n, elements=st.floats(0.05, 5.0)))
+    return A, G @ G.T + 0.3 * np.eye(n), np.diag(c), np.diag(v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_diagonal_output_instances())
+def test_report_agrees_with_the_public_bounds(instance):
+    A, W, C, V = instance
+    rep = entropy_bound_report(A, W, C, V)
+    assert rep.posterior_floor_diag == tuple(posterior_variance_diag(W, C, V))
+    assert rep.variance_floor == variance_floor(A, W, C, V)
+    holds, margin = covariance_bound_condition(A, W, C, V)
+    assert (rep.condition_holds, rep.condition_margin) == (holds, margin)
+    if margin > 1e-6:
+        # the report's entropy_bound is the trace of the matrix cap, written
+        # through privacy_term instead of the margin
+        cap = covariance_upper_bound(A, W, C, V)
+        assert_allclose(rep.entropy_bound, np.trace(cap), rtol=1e-12, atol=0.0)
+        assert rep.logdet_covariance < rep.entropy_bound
 
 
 def test_bound_chain_det_monotonicity_and_am_gm():
@@ -310,3 +347,15 @@ def test_bound_inputs_validated():
         variance_floor(np.eye(2), np.array([[1.0, 0.4], [0.0, 1.0]]), np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         variance_floor(np.eye(2), np.eye(2), np.eye(3), np.eye(2))
+    # non-finite numbers are named before any other check can misreport them
+    inf_w = np.diag([1.0, np.inf])
+    with pytest.raises(ValueError, match="W must be finite, got NaN or inf"):
+        variance_floor(np.eye(2), inf_w, np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="W must be finite, got NaN or inf"):
+        entropy_bound_report(0.5 * np.eye(2), inf_w, np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="V must be finite, got NaN or inf"):
+        posterior_variance_diag(np.eye(2), np.eye(2), np.diag([1.0, np.inf]))
+    with pytest.raises(ValueError, match="C must be finite, got NaN or inf"):
+        posterior_variance_diag(np.eye(2), np.diag([np.nan, 1.0]), np.eye(2))
+    with pytest.raises(ValueError, match="A must be finite, got NaN or inf"):
+        covariance_bound_condition(np.diag([np.nan, 0.5]), np.eye(2), np.eye(2), np.eye(2))

@@ -1,11 +1,12 @@
 """Tests for config parsing and the command-line verbs.
 
 CLI verbs are exercised in-process through main(argv) so exit codes and
-written files can be asserted cheaply; one subprocess test at the end
-verifies the installed console script wiring.
+written files can be asserted cheaply. Two subprocess tests run the bound
+verb as `python -m dplqg.cli` and check the installed console script.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -31,7 +32,16 @@ from dplqg.config import (
 from dplqg.errors import ConfigError
 from dplqg.lqg import synthesize
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+CASE_STUDY_BOUND_REPORT = (
+    b"status = inapplicable\n"
+    b"condition_holds = false\n"
+    b"condition_margin = -0.1025788795076612\n"
+    b"variance_floor = 1.4032362393510973\n"
+    b"posterior_floor_diag = 0.9981888785356193, 0.9981888785356193, "
+    b"0.3333333333333334, 0.3333333333333334\n"
+)
 
 
 def _agent_dict(**overrides):
@@ -319,14 +329,24 @@ def test_cli_bound_applicable_and_not(tmp_path):
     out3 = tmp_path / "bnd3"
     case_study = str(CONFIG_DIR / "case_study_2agent.json")
     assert main(["bound", "--config", case_study, "--out", str(out3)]) == 5
-    assert (out3 / "bound_report.txt").read_bytes() == (
-        b"status = inapplicable\n"
-        b"condition_holds = false\n"
-        b"condition_margin = -0.1025788795076612\n"
-        b"variance_floor = 1.4032362393510973\n"
-        b"posterior_floor_diag = 0.9981888785356193, 0.9981888785356193, "
-        b"0.3333333333333334, 0.3333333333333334\n"
+    assert (out3 / "bound_report.txt").read_bytes() == CASE_STUDY_BOUND_REPORT
+
+
+def test_cli_module_bound_in_subprocess(tmp_path):
+    # the verb as a process: `python -m dplqg.cli`, exit code and bytes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    out = tmp_path / "bnd"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dplqg.cli", "bound", "--config",
+         str(CONFIG_DIR / "case_study_2agent.json"), "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert "entropy cap not applicable" in proc.stdout
+    assert (out / "bound_report.txt").read_bytes() == CASE_STUDY_BOUND_REPORT
 
 
 def test_cli_exit_code_invalid_config(tmp_path):

@@ -150,6 +150,8 @@ def test_kappa_validates_arguments():
         kappa(0.0, 1.0)
     with pytest.raises(ValueError):
         kappa(0.6, 1.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        kappa(0.1, math.inf)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +321,10 @@ def test_audit_validates_arguments():
         verify_dp_inequality(1.0, 1.0, 1.0, 0.7)
     with pytest.raises(ValueError):
         verify_dp_inequality(1.0, 1.0, 1.0, 0.1, grid_points=2)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        verify_dp_inequality(1.0, math.inf, 1.0, 0.1)
+    with pytest.raises(ValueError, match="sensitivity must be >= 0"):
+        verify_dp_inequality(math.inf, 1.0, 1.0, 0.1)
 
 
 # ----------------------------------------------------------------------
