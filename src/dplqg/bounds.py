@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InapplicableBoundError
+from .errors import (InapplicableBoundError, check_finite, check_positive, check_square,
+                     check_symmetric)
 from .riccati import solve_dare_filter
 
 
@@ -40,11 +41,9 @@ def _bound_terms(A, W, C, V):
     """
     A, W, C, V = (np.asarray(M, dtype=float) for M in (A, W, C, V))
     for name, M in (("A", A), ("W", W), ("C", C), ("V", V)):
-        if not np.isfinite(M).all():
-            raise ValueError(f"{name} must be finite, got NaN or inf")
+        check_finite(M, name)
+    A = check_square(A, "A")
     n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
-        raise ValueError(f"A must be square, got {A.shape}")
     for name, M in (("W", W), ("C", C), ("V", V)):
         if M.shape != (n, n):
             raise ValueError(f"{name} must be {n} x {n}, got {M.shape}")
@@ -54,9 +53,7 @@ def _bound_terms(A, W, C, V):
         raise ValueError("V must be diagonal")
     if not np.all(np.diag(V) > 0.0):
         raise ValueError("V must have positive diagonal")
-    scale = max(1.0, float(np.abs(W).max()))
-    if not np.allclose(W, W.T, rtol=0.0, atol=1e-10 * scale):
-        raise ValueError("W must be symmetric")
+    check_symmetric(W, "W")
     if not np.all(np.diag(W) > 0.0):
         raise ValueError("W must have positive diagonal")
     W = 0.5 * (W + W.T)
@@ -148,12 +145,8 @@ def homogeneous_entropy_estimate(A, process_var, sigma):
     s_min(A)^2 << 1; doubling sigma then roughly quadruples the first term.
     """
     A = np.asarray(A, dtype=float)
-    process_var = float(process_var)
-    sigma = float(sigma)
-    if not process_var > 0.0:
-        raise ValueError("process_var must be positive")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    process_var = check_positive(process_var, "process_var")
+    sigma = check_positive(sigma, "sigma")
     s = np.linalg.svd(A, compute_uv=False)
     lead = 1.0 / (s[-1] ** 2 / (sigma * sigma + process_var) + 1.0 / (sigma * sigma))
     return float(lead * np.sum(s * s) + A.shape[0] * process_var)

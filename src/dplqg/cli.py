@@ -37,7 +37,6 @@ from .network import (
     write_messages_csv,
     write_trace_csv,
 )
-from .privacy import PrivacySpec
 from .riccati import dare_residual_control, dare_residual_filter
 
 DEFAULT_SWEEP_GRID = (0.1, 0.3, 0.7, 1.2, 2.0, 3.0)
@@ -138,14 +137,7 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     rows = []
     for eps in grid:
         agents = [
-            replace(
-                ag,
-                privacy=PrivacySpec(
-                    epsilon=eps,
-                    delta=ag.privacy.delta,
-                    adjacency_bound=ag.privacy.adjacency_bound,
-                ),
-            )
+            replace(ag, privacy=replace(ag.privacy, epsilon=eps))
             for ag in cfg.agents
         ]
         model = assemble_network(agents, Q, R)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import AssumptionError
+from .errors import check_finite
 from .lqg import filter_step, incremental_cost, synthesize
 from .privacy import PrivacySpec, calibrate_sigma
-from .riccati import _check_symmetric_pd, is_controllable, is_observable
+from .riccati import _as_pair, _check_symmetric_pd, check_preconditions
 from .rng import INIT_STATE, PRIVACY_NOISE, PROCESS_NOISE, derive_stream, psd_factor
 
 MEASUREMENT = "measurement"
@@ -50,7 +50,8 @@ class AgentModel:
     x0_mean is public (it seeds the cloud's estimate); x0_true is the secret
     initial state and defaults to x0_mean. When x0_cov is given and x0_true
     is not, the true initial state is drawn from N(x0_mean, x0_cov) on the
-    agent's init stream.
+    agent's init stream. x0_cov must be symmetric positive semidefinite,
+    as dplqg.rng.psd_factor requires.
     """
 
     A: np.ndarray
@@ -63,13 +64,8 @@ class AgentModel:
     x0_cov: np.ndarray = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
+        A, B = _as_pair(self.A, self.B)
         n = A.shape[0]
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != n:
-            raise ValueError(f"B must be {n} x m, got shape {B.shape}")
         shapes = {"A": A.shape, "B": B.shape, "C": (n, n), "W": (n, n),
                   "x0_mean": (n,), "x0_true": (n,), "x0_cov": (n, n)}
         for name, shape in shapes.items():
@@ -81,10 +77,14 @@ class AgentModel:
                 value = value.reshape(-1)
             if value.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got NaN or inf")
+            check_finite(value, name)
             object.__setattr__(self, name, value)
         _check_symmetric_pd(self.W, "W")
+        if self.x0_cov is not None:
+            try:
+                psd_factor(self.x0_cov)
+            except ValueError as exc:
+                raise ValueError(f"x0_cov: {exc}") from None
 
     @property
     def n(self):
@@ -136,7 +136,8 @@ def assemble_network(agents, Q, R):
 
     Calibrates each agent's noise scale from its PrivacySpec and output map,
     forms the block-diagonal (A, B, C, W) and V = blockdiag(sigma_i^2 I),
-    and checks the synthesis preconditions: Q, R symmetric positive
+    and checks both Riccati problems' preconditions
+    (dplqg.riccati.check_preconditions): Q, R, W, V symmetric positive
     definite, (A, B) controllable, (A, C) observable. Violations raise
     AssumptionError naming the failing condition.
     """
@@ -151,18 +152,8 @@ def assemble_network(agents, Q, R):
         calibrate_sigma(ag.privacy, ag.C).sigma for ag in agents
     )
     V = block_diag(*[s * s * np.eye(ag.n) for s, ag in zip(sigmas, agents)])
-    n = A.shape[0]
-    m = B.shape[1]
-    Q = _check_symmetric_pd(Q, "Q")
-    R = _check_symmetric_pd(R, "R")
-    if Q.shape[0] != n:
-        raise ValueError(f"Q must be {n} x {n}, got {Q.shape}")
-    if R.shape[0] != m:
-        raise ValueError(f"R must be {m} x {m}, got {R.shape}")
-    if not is_controllable(A, B):
-        raise AssumptionError("(A, B) is not controllable")
-    if not is_observable(A, C):
-        raise AssumptionError("(A, C) is not observable")
+    Q, R = check_preconditions(A, B, Q, R)
+    check_preconditions(A.T, C.T, W, V, dual=True)
     return NetworkModel(
         A=A, B=B, C=C, W=W, V=V, Q=Q, R=R,
         state_dims=tuple(ag.n for ag in agents),

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_positive
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -184,9 +186,7 @@ def q_inverse(p):
 def _privacy_params(epsilon, delta):
     """(epsilon, delta) as floats; ValueError unless epsilon is finite and
     positive and 0 < delta <= 1/2."""
-    epsilon, delta = float(epsilon), float(delta)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    epsilon, delta = check_positive(epsilon, "epsilon"), float(delta)
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
     return epsilon, delta
@@ -236,13 +236,10 @@ class PrivacySpec:
 
     def __post_init__(self):
         epsilon, delta = _privacy_params(self.epsilon, self.delta)
+        bound = check_positive(self.adjacency_bound, "adjacency_bound")
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "adjacency_bound", float(self.adjacency_bound))
-        if not (math.isfinite(self.adjacency_bound) and self.adjacency_bound > 0.0):
-            raise ValueError(
-                f"adjacency_bound must be positive, got {self.adjacency_bound}"
-            )
+        object.__setattr__(self, "adjacency_bound", bound)
 
 
 @dataclass(frozen=True)
@@ -256,9 +253,9 @@ class NoiseScale:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        object.__setattr__(
+            self, "sigma", check_positive(self.sigma, "sigma", allow_zero=True)
+        )
 
 
 def sensitivity_bound(C, adjacency_bound):
@@ -280,9 +277,7 @@ def sensitivity_bound(C, adjacency_bound):
         s1(C) * b where s1 is the largest singular value.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    b = float(adjacency_bound)
-    if not b > 0.0:
-        raise ValueError(f"adjacency_bound must be positive, got {b}")
+    b = check_positive(adjacency_bound, "adjacency_bound")
     return float(np.linalg.norm(C, 2)) * b
 
 
@@ -365,12 +360,8 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta, grid_points=2001):
         holds is True when the minimum slack over the grid is nonnegative;
         worst_threshold is the argmin, useful when reporting a violation.
     """
-    delta_2 = float(delta_2)
-    sigma = float(sigma)
-    if not (math.isfinite(delta_2) and delta_2 >= 0.0):
-        raise ValueError(f"sensitivity must be >= 0, got {delta_2}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    delta_2 = check_positive(delta_2, "sensitivity", allow_zero=True)
+    sigma = check_positive(sigma, "sigma")
     epsilon, delta = _privacy_params(epsilon, delta)
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
@@ -398,7 +389,5 @@ def adjacency_check(traj_a, traj_b, adjacency_bound):
     b = np.asarray(traj_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"trajectory shapes differ: {a.shape} vs {b.shape}")
-    bound = float(adjacency_bound)
-    if not bound > 0.0:
-        raise ValueError(f"adjacency_bound must be positive, got {bound}")
+    bound = check_positive(adjacency_bound, "adjacency_bound")
     return bool(np.linalg.norm((a - b).ravel()) <= bound)

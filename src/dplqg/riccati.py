@@ -21,16 +21,19 @@ solves perform literally the same arithmetic.
 The fixed point is found by iterating the map with symmetrization after
 every step, which is the dynamic-programming value recursion and converges
 to the unique stabilizing solution under the standing assumptions (positive
-definite weights, controllable input pair, observable output pair). The
-iteration is deliberately simple and fully deterministic; tests cross-check
-it against closed-form scalar solutions and an independent dense solver.
+definite weights, controllable input pair, observable output pair), which
+check_preconditions states once per problem for both solvers and network
+assembly. The iteration is deliberately simple and fully deterministic;
+tests cross-check it against closed-form scalar solutions and an
+independent dense solver.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, ConvergenceError
+from .errors import (AssumptionError, ConvergenceError, check_finite, check_square,
+                     check_symmetric)
 
 MAX_ITERATIONS = 100_000
 CONVERGENCE_RTOL = 1e-12
@@ -60,16 +63,9 @@ class FilterSynthesis:
     kalman_gain: np.ndarray
 
 
-def _as_square(M, name):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
-    return M
-
-
 def _as_pair(A, B, name="B"):
     """Square A and a matrix B with as many rows, as float arrays."""
-    A = _as_square(A, "A")
+    A = check_square(A, "A")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ValueError(f"{name} must have {A.shape[0]} rows, got shape {B.shape}")
@@ -78,17 +74,14 @@ def _as_pair(A, B, name="B"):
 
 def _dual_pair(A, C):
     """(A^T, C^T) for a square A and a q x n output matrix C."""
-    A = _as_square(A, "A")
+    A = check_square(A, "A")
     return _as_pair(A.T, np.asarray(C, dtype=float).T, "C^T")
 
 
 def _check_symmetric_pd(M, name):
-    M = _as_square(M, name)
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} must be finite, got NaN or inf")
-    scale = max(1.0, float(np.abs(M).max()))
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * scale):
-        raise AssumptionError(f"{name} must be symmetric")
+    M = check_square(M, name)
+    check_finite(M, name)
+    check_symmetric(M, name, AssumptionError)
     M = 0.5 * (M + M.T)
     eigs = np.linalg.eigvalsh(M)
     if eigs.min() <= 0.0:
@@ -142,14 +135,17 @@ def _riccati_map(X, A, B, Q, R):
     return A.T @ X @ A - G.T @ np.linalg.solve(R + B.T @ X @ B, G) + Q
 
 
-def _stationary_solution(A, B, Q, R, q_name, r_name, rank_failure):
-    """Fixed point of the Riccati map for a checked pair (A, B).
+def check_preconditions(A, B, Q, R, dual=False):
+    """Standing assumptions of one Riccati problem on a checked pair (A, B).
 
-    Requires Q and R symmetric positive definite and (A, B) controllable;
-    violations raise AssumptionError. The names label the errors in the
-    caller's terms, so the filter, solved here as its dual, reports W, V
-    and observability. Returns the solution and the symmetrized weights.
+    Q and R must be symmetric positive definite, n x n and m x m, and
+    (A, B) controllable; violations raise AssumptionError, wrong sizes
+    ValueError. With dual=True the arguments are a filter's dual data
+    (A^T, C^T, W, V) and the errors name W, V and observability. Returns
+    the symmetrized weights.
     """
+    q_name, r_name, rank_failure = (("W", "V", "(A, C) is not observable") if dual
+                                    else ("Q", "R", "(A, B) is not controllable"))
     n, m = B.shape
     Q = _check_symmetric_pd(Q, q_name)
     R = _check_symmetric_pd(R, r_name)
@@ -159,7 +155,7 @@ def _stationary_solution(A, B, Q, R, q_name, r_name, rank_failure):
         raise ValueError(f"{r_name} must be {m} x {m}, got shape {R.shape}")
     if not _full_krylov_rank(A, B):
         raise AssumptionError(rank_failure)
-    return _iterate_to_fixed_point(A, B, Q, R), Q, R
+    return Q, R
 
 
 def _iterate_to_fixed_point(A, B, Q, R):
@@ -201,7 +197,8 @@ def solve_dare_control(A, B, Q, R):
     returned closed loop A + B L is verified Schur stable.
     """
     A, B = _as_pair(A, B)
-    K, Q, R = _stationary_solution(A, B, Q, R, "Q", "R", "(A, B) is not controllable")
+    Q, R = check_preconditions(A, B, Q, R)
+    K = _iterate_to_fixed_point(A, B, Q, R)
     L = -np.linalg.solve(R + B.T @ K @ B, B.T @ K @ A)
     closed = A + B @ L
     radius = float(np.abs(np.linalg.eigvals(closed)).max())
@@ -220,9 +217,8 @@ def solve_dare_filter(A, C, W, V):
     violations raise AssumptionError naming the failed condition.
     """
     At, Ct = _dual_pair(A, C)
-    Sigma, W, V = _stationary_solution(
-        At, Ct, W, V, "W", "V", "(A, C) is not observable"
-    )
+    W, V = check_preconditions(At, Ct, W, V, dual=True)
+    Sigma = _iterate_to_fixed_point(At, Ct, W, V)
     C = Ct.T
     innovation_cov = C @ Sigma @ C.T + V
     SigmaBar = Sigma - Sigma @ C.T @ np.linalg.solve(innovation_cov, C @ Sigma)

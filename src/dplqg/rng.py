@@ -34,6 +34,8 @@ import math
 
 import numpy as np
 
+from .errors import check_square, check_symmetric
+
 # Stream kinds for derive_stream. Fixed numeric codes; changing them would
 # silently re-randomize every seeded experiment, so they are append-only.
 PROCESS_NOISE = 0
@@ -42,6 +44,8 @@ INIT_STATE = 2
 COST_MATRIX = 3
 
 _TWO_PI = 2.0 * math.pi
+# psd_factor rejects an eigenvalue below -PSD_TOL * max(1, max |eigenvalue|).
+PSD_TOL = 1e-12
 
 
 class GaussianStream:
@@ -58,8 +62,6 @@ class GaussianStream:
         size = int(size)
         if size < 0:
             raise ValueError("size must be nonnegative")
-        if size == 0:
-            return np.empty(0)
         pairs = (size + 1) // 2
         u = self._gen.random((pairs, 2))
         r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
@@ -89,26 +91,23 @@ def derive_stream(master_seed, entity_index, stream_kind):
     return GaussianStream((int(master_seed), int(entity_index), int(stream_kind)))
 
 
-def psd_factor(M, tol=1e-12):
+def psd_factor(M):
     """Factor a symmetric PSD matrix as F with F F^T = M, for noise shaping.
 
     Uses the (lower) Cholesky factor when M is positive definite. For
     semidefinite or slightly indefinite input, falls back to an
     eigendecomposition with eigenvalues below zero clipped to zero; an
-    eigenvalue more negative than -tol * max(1, ||M||) is a real error and
-    raises ValueError.
+    eigenvalue more negative than -PSD_TOL * max(1, ||M||) is a real error
+    and raises ValueError.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
-        raise ValueError("covariance must be symmetric")
+    M = check_square(M, "covariance")
+    check_symmetric(M, "covariance")
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         pass
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    floor = -tol * max(1.0, float(np.abs(vals).max()))
+    floor = -PSD_TOL * max(1.0, float(np.abs(vals).max()))
     if vals.min() < floor:
         raise ValueError(
             "covariance is not positive semidefinite "

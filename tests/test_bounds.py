@@ -304,6 +304,10 @@ def test_homogeneous_estimate_validation():
         homogeneous_entropy_estimate(ONE, 0.0, 1.0)
     with pytest.raises(ValueError):
         homogeneous_entropy_estimate(ONE, 1.0, -1.0)
+    with pytest.raises(ValueError, match="process_var must be positive"):
+        homogeneous_entropy_estimate(ONE, math.inf, 1.0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        homogeneous_entropy_estimate(ONE, 1.0, math.inf)
 
 
 def test_report_omits_homogeneous_field_when_agents_differ():

@@ -378,6 +378,16 @@ def test_config_rejects_non_finite_agent_numbers(tmp_path, capsys, field):
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["synthesize", "simulate", "bound", "sweep-epsilon"])
+def test_cli_rejects_asymmetric_x0_cov(tmp_path, capsys, verb):
+    raw = _config_dict(agents=[_agent_dict(x0_cov=[[1.0, 0.5], [0.0, 1.0]])])
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out)]) == 2
+    assert "x0_cov: covariance must be symmetric" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["simulate", "sweep-epsilon"])
 def test_cli_rejects_non_finite_cost(tmp_path, capsys, verb):
     raw = _config_dict(cost={"Q": [[1.0, 0.0], [0.0, float("-inf")]], "R": [[1.0]]})

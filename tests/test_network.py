@@ -78,6 +78,14 @@ def test_agent_model_validation():
             W=np.diag([1.0, 0.0]),  # singular W
             privacy=PrivacySpec(1.0, 0.1), x0_mean=np.zeros(2),
         )
+    # x0_cov must be symmetric positive semidefinite, as psd_factor requires;
+    # a singular one is accepted
+    for x0_cov, words in (([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+                          ([[1.0, 0.0], [0.0, -0.5]], "semidefinite")):
+        with pytest.raises(ValueError, match=f"x0_cov: covariance .*{words}"):
+            _double_integrator_agent(1.0, 0.1, x0_cov=np.array(x0_cov))
+    singular = _double_integrator_agent(1.0, 0.1, x0_cov=np.ones((2, 2)))
+    assert np.array_equal(singular.x0_cov, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("field", ["A", "B", "C", "W", "x0_mean", "x0_true", "x0_cov"])

@@ -219,6 +219,11 @@ def test_privacy_spec_validation():
         PrivacySpec(epsilon=1.0, delta=0.1, adjacency_bound=0.0)
     with pytest.raises(ValueError):
         PrivacySpec(epsilon=math.inf, delta=0.1)
+    # every function that takes the budget b applies the same rule
+    with pytest.raises(ValueError, match="adjacency_bound must be positive"):
+        sensitivity_bound(np.eye(2), math.inf)
+    with pytest.raises(ValueError, match="adjacency_bound must be positive"):
+        adjacency_check(np.zeros(2), np.full(2, 1e300), math.inf)
 
 
 def test_noise_scale_validation():

@@ -56,6 +56,8 @@ def test_draws_consume_whole_pairs():
 def test_draw_size_edge_cases():
     s = GaussianStream(0)
     assert s.standard_normal(0).shape == (0,)
+    # a zero-size draw consumes nothing from the stream
+    assert np.array_equal(s.standard_normal(3), GaussianStream(0).standard_normal(3))
     with pytest.raises(ValueError):
         s.standard_normal(-1)
 
