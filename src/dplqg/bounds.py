@@ -208,7 +208,7 @@ def _is_homogeneous(W, C, V):
     )
 
 
-def entropy_bound_report(A, W, C, V):
+def entropy_bound_report(A, W, C, V, Sigma=None):
     """Solve for Sigma and certify log det Sigma against the closed-form cap.
 
     entropy_bound = lambda_max(W) / (1 + privacy_term - s_max(A)^2)
@@ -220,8 +220,17 @@ def entropy_bound_report(A, W, C, V):
     When it does not, the report carries condition_holds=False, the
     (negative) margin and the floors, leaves the cap fields None, and Sigma
     is not solved for.
+
+    Sigma may be the filter's prediction covariance already solved for the
+    same (A, W, C, V), such as SynthesisResult.Sigma; the report then takes
+    logdet_covariance from it instead of solving the filter again. Only
+    its shape is checked, so a Sigma from other model data gives a wrong
+    logdet_covariance.
     """
     terms = _bound_terms(A, W, C, V)
+    n = terms.A.shape[0]
+    if Sigma is not None and np.shape(Sigma) != (n, n):
+        raise ValueError(f"Sigma must be {n} x {n}, got shape {np.shape(Sigma)}")
     gamma = tuple(float(g) for g in terms.gamma)
     report = EntropyBoundReport(
         posterior_floor_diag=gamma,
@@ -243,9 +252,11 @@ def entropy_bound_report(A, W, C, V):
         homogeneous = homogeneous_entropy_estimate(
             A, float(np.diag(W)[0]), math.sqrt(float(np.diag(V)[0]))
         )
+    if Sigma is None:
+        Sigma = solve_dare_filter(A, C, W, V).Sigma
     return replace(
         report,
-        logdet_covariance=logdet(solve_dare_filter(A, C, W, V).Sigma),
+        logdet_covariance=logdet(Sigma),
         entropy_bound=float(coef * np.sum(s * s) + np.trace(W)),
         privacy_term=privacy_term,
         homogeneous_estimate=homogeneous,

@@ -119,7 +119,10 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     Every agent's epsilon is replaced by the grid value (deltas and
     adjacency bounds keep their configured values). The cost matrices are
     resolved once, the noise streams do not depend on epsilon, and seeds
-    run from the master seed upward, so rows are directly comparable.
+    run from the master seed upward, so rows are directly comparable. The
+    feedback gain does not depend on epsilon either (separation), so the
+    control Riccati equation is solved once for the whole grid, and each
+    epsilon's filter solve also serves its entropy report.
     Each row is a dict with keys epsilon, sigma, mean_cost, logdet_cov,
     entropy_bound, condition_margin.
     """
@@ -135,14 +138,17 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     base_seed = cfg.seed if seed is None else int(seed)
     Q, R = resolve_costs(cfg, seed=base_seed)
     rows = []
+    control = None
     for eps in grid:
         agents = [
             replace(ag, privacy=replace(ag.privacy, epsilon=eps))
             for ag in cfg.agents
         ]
         model = assemble_network(agents, Q, R)
-        syn = synthesize(model)
-        report = entropy_bound_report(model.A, model.W, model.C, model.V)
+        syn = synthesize(model, control)
+        control = syn.control
+        report = entropy_bound_report(model.A, model.W, model.C, model.V,
+                                      Sigma=syn.Sigma)
         costs = []
         for j in range(n_seeds):
             trace = run_simulation(

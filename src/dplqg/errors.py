@@ -64,7 +64,7 @@ def check_square(M, name):
 
 def check_symmetric(M, name, error=ValueError):
     """Raise `error` naming M unless M = M^T within 1e-10 * max(1, max |M_ij|)."""
-    scale = max(1.0, float(np.abs(M).max()))
+    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * scale):
         raise error(f"{name} must be symmetric")
 

@@ -51,14 +51,22 @@ class SynthesisResult:
         )
 
 
-def synthesize(model):
+def synthesize(model, control=None):
     """Solve both Riccati equations for a NetworkModel.
 
     The regulator solve sees only (A, B, Q, R) and the filter solve only
     (A, C, W, V); the privacy level therefore affects the estimator but not
-    the feedback gain.
+    the feedback gain. control may be a ControlSynthesis already solved
+    for the same (A, B, Q, R), such as the .control of a synthesis of the
+    same network at another privacy level; the regulator solve is then
+    skipped and its K and L are used as given. Only their shapes are
+    checked, so a control from other model data gives a wrong result.
     """
-    control = solve_dare_control(model.A, model.B, model.Q, model.R)
+    if control is None:
+        control = solve_dare_control(model.A, model.B, model.Q, model.R)
+    elif control.L.shape != (model.m, model.n):
+        raise ValueError(f"control gain L must be {model.m} x {model.n}, "
+                         f"got shape {control.L.shape}")
     filt = solve_dare_filter(model.A, model.C, model.W, model.V)
     return SynthesisResult(
         K=control.K,

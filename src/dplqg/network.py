@@ -66,6 +66,8 @@ class AgentModel:
     def __post_init__(self):
         A, B = _as_pair(self.A, self.B)
         n = A.shape[0]
+        if n == 0:
+            raise ValueError("A must have at least one state, got shape (0, 0)")
         shapes = {"A": A.shape, "B": B.shape, "C": (n, n), "W": (n, n),
                   "x0_mean": (n,), "x0_true": (n,), "x0_cov": (n, n)}
         for name, shape in shapes.items():
@@ -287,16 +289,17 @@ class SimulationTrace:
         return WireLog(self.y_bar, self.u, self.state_dims, self.input_dims)
 
 
-def agent_step(agent, x, u, stream, noise_factor=None):
-    """Advance one agent: x+ = A x + B u + w, w ~ N(0, W) from the stream.
+def agent_step(agent, x, u, z, noise_factor=None):
+    """Advance one agent: x+ = A x + B u + F z, so w = F z ~ N(0, W).
 
-    The noise is shaped as w = F z with F F^T = W (see dplqg.rng.psd_factor)
-    and z standard normal, so the draw is reproducible from the stream
-    state. Pass a precomputed factor to avoid refactorizing in a loop.
+    z is the step's standard-normal draw of width n, a row of the agent's
+    process stream (GaussianStream.standard_normal_rows), and F F^T = W
+    (see dplqg.rng.psd_factor). Pass a precomputed factor to avoid
+    refactorizing in a loop.
     """
     if noise_factor is None:
         noise_factor = psd_factor(agent.W)
-    return agent.A @ x + agent.B @ u + stream.correlated(noise_factor)
+    return agent.A @ x + agent.B @ u + noise_factor @ z
 
 
 def run_simulation(model, agents, horizon, seed, synthesis=None):
@@ -305,6 +308,12 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     Returns a SimulationTrace. Identical (model, agents, horizon, seed)
     produce bit-identical traces. synthesis may be passed to reuse a
     precomputed SynthesisResult; by default it is computed here.
+
+    Each agent's process and privacy streams are drawn once for the whole
+    horizon (GaussianStream.standard_normal_rows), and step k uses row k:
+    the privacy noise sigma_i * z_k and the process noise F_i @ z_k are
+    formed per step, so the trace is bit-equal to one standard_normal(n_i)
+    call per stream per step.
     """
     agents = list(agents)
     if len(agents) != model.n_agents:
@@ -316,15 +325,17 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if synthesis is None:
         synthesis = synthesize(model)
-    n, m, N = model.n, model.m, model.n_agents
+    n, m = model.n, model.m
     s_slices = model.state_slices
     i_slices = model.input_slices
     A, B, C = model.A, model.B, model.C
     gain = synthesis.kalman_gain
     L = synthesis.L
 
-    process = [derive_stream(seed, i, PROCESS_NOISE) for i in range(N)]
-    privacy = [derive_stream(seed, i, PRIVACY_NOISE) for i in range(N)]
+    process = [derive_stream(seed, i, PROCESS_NOISE).standard_normal_rows(horizon, ag.n)
+               for i, ag in enumerate(agents)]
+    privacy = [derive_stream(seed, i, PRIVACY_NOISE).standard_normal_rows(horizon, ag.n)
+               for i, ag in enumerate(agents)]
     factors = [psd_factor(ag.W) for ag in agents]
 
     x_hat0 = np.concatenate([ag.x0_mean for ag in agents])
@@ -348,7 +359,7 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     for k in range(horizon):
         y_bar = y_bars[k]
         for i, ag in enumerate(agents):
-            noise = privacy[i].normal(model.sigmas[i], ag.n)
+            noise = model.sigmas[i] * privacy[i][k]
             y_bar[s_slices[i]] = ag.C @ x[s_slices[i]] + noise
         if k > 0:
             x_hat = filter_step(A, B, C, gain, x_hat, u_prev, y_bar)
@@ -362,7 +373,7 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
         x_next = np.empty(n)
         for i, ag in enumerate(agents):
             x_next[s_slices[i]] = agent_step(
-                ag, x[s_slices[i]], u[i_slices[i]], process[i], factors[i]
+                ag, x[s_slices[i]], u[i_slices[i]], process[i][k], factors[i]
             )
         x = x_next
         u_prev = u

@@ -28,6 +28,14 @@ and a draw of size n consumes ceil(n / 2) pairs, in order
 (z0, z1, z0, z1, ...), discarding the trailing value when n is odd. Pairs are
 never cached across calls, so the values returned by a call depend only on
 the stream state at entry and the requested size.
+
+Row draws: standard_normal_rows(rows, width) takes a whole horizon in one
+call, as standard_normal(rows * 2 * ceil(width / 2)) reshaped to one padded
+row per step, with each row's trailing odd value dropped. Row k is
+bit-equal to the k-th of `rows` successive standard_normal(width) calls,
+and the stream ends where those calls would leave it, because a call of
+width n consumes exactly ceil(n / 2) pairs and Box-Muller maps each pair on
+its own.
 """
 
 import math
@@ -70,6 +78,16 @@ class GaussianStream:
         z[0::2] = r * np.cos(angle)
         z[1::2] = r * np.sin(angle)
         return z[:size]
+
+    def standard_normal_rows(self, rows, width):
+        """Return a (rows, width) array: row k is the k-th of `rows`
+        successive standard_normal(width) calls, and the stream is left
+        where those calls would leave it. rows = 0 draws nothing."""
+        rows, width = int(rows), int(width)
+        if rows < 0 or width < 0:
+            raise ValueError("rows and width must be nonnegative")
+        padded = 2 * ((width + 1) // 2)
+        return self.standard_normal(rows * padded).reshape(rows, padded)[:, :width]
 
     def normal(self, sigma, size):
         """Return `size` i.i.d. N(0, sigma^2) draws."""

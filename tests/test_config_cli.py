@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dplqg.bounds as bounds
+import dplqg.lqg as lqg
 import dplqg.riccati as riccati
 from dplqg.cli import DEFAULT_SWEEP_GRID, main, sweep_epsilon
 from dplqg.config import (
@@ -285,6 +287,28 @@ def test_sweep_epsilon_rows_reuse_common_randomness():
     # tighter privacy costs more, in this plant, at these settings
     assert rows[0]["mean_cost"] > rows[1]["mean_cost"]
     assert rows[0]["logdet_cov"] > rows[1]["logdet_cov"]
+
+
+def test_sweep_solves_control_once_and_filter_once_per_epsilon(monkeypatch):
+    # The feedback gain does not depend on epsilon (separation), and each
+    # epsilon's filter solve also serves its entropy report.
+    calls = {"solve_dare_control": 0, "solve_dare_filter": 0}
+
+    def counted(name):
+        solve = getattr(riccati, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((lqg, "solve_dare_control"), (lqg, "solve_dare_filter"),
+                         (bounds, "solve_dare_filter")):
+        monkeypatch.setattr(module, name, counted(name))
+    cfg = load(CONFIG_DIR / "sweep_4agent.json")
+    sweep_epsilon(cfg, DEFAULT_SWEEP_GRID, n_seeds=1, steps=1)
+    assert calls == {"solve_dare_control": 1,
+                     "solve_dare_filter": len(DEFAULT_SWEEP_GRID)}
 
 
 def test_sweep_epsilon_rejects_bad_grid():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dplqg.errors import AssumptionError
-from dplqg.lqg import synthesize
+from dplqg.lqg import filter_step, incremental_cost, synthesize
 from dplqg.network import (
     CLOUD,
     CONTROL,
@@ -27,7 +27,14 @@ from dplqg.network import (
     write_trace_csv,
 )
 from dplqg.privacy import PrivacySpec, calibrate_sigma
-from dplqg.rng import PROCESS_NOISE, GaussianStream, derive_stream, psd_factor
+from dplqg.rng import (
+    INIT_STATE,
+    PRIVACY_NOISE,
+    PROCESS_NOISE,
+    GaussianStream,
+    derive_stream,
+    psd_factor,
+)
 
 
 def _double_integrator_agent(epsilon, delta, x0_cov=None):
@@ -86,6 +93,11 @@ def test_agent_model_validation():
             _double_integrator_agent(1.0, 0.1, x0_cov=np.array(x0_cov))
     singular = _double_integrator_agent(1.0, 0.1, x0_cov=np.ones((2, 2)))
     assert np.array_equal(singular.x0_cov, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="A must have at least one state"):
+        AgentModel(
+            A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((0, 0)),
+            W=np.zeros((0, 0)), privacy=PrivacySpec(1.0, 0.1), x0_mean=np.zeros(0),
+        )
 
 
 @pytest.mark.parametrize("field", ["A", "B", "C", "W", "x0_mean", "x0_true", "x0_cov"])
@@ -175,15 +187,16 @@ def test_agent_step_reproduces_equation():
     z = GaussianStream(3).standard_normal(2)
     x = np.array([1.0, -0.5])
     u = np.array([0.3])
-    out = agent_step(agent, x, u, GaussianStream(3), F)
+    out = agent_step(agent, x, u, z, F)
     expected = agent.A @ x + agent.B @ u + F @ z
     assert_allclose(out, expected, rtol=0.0, atol=0.0)
 
 
 def test_agent_step_factorizes_when_not_given():
     agent = _scalar_agent()
-    a = agent_step(agent, np.ones(1), np.zeros(1), GaussianStream(9))
-    b = agent_step(agent, np.ones(1), np.zeros(1), GaussianStream(9), psd_factor(agent.W))
+    z = GaussianStream(9).standard_normal(1)
+    a = agent_step(agent, np.ones(1), np.zeros(1), z)
+    b = agent_step(agent, np.ones(1), np.zeros(1), z, psd_factor(agent.W))
     assert np.array_equal(a, b)
 
 
@@ -452,6 +465,84 @@ def test_wire_log_round_trip_and_replay_property(net, horizon, seed):
                               trace.y_bar[k])
         assert np.array_equal(np.concatenate([m.payload for m in step[N:]]),
                               trace.u[k])
+
+
+def _reference_simulation(model, agents, horizon, seed, syn):
+    """The per-step simulation loop, kept as the oracle for the trace bits
+    of agents without x0_true.
+
+    One standard_normal(n_i) call per stream per step: sigma_i * z for the
+    privacy noise and F_i @ z for the process noise. Returns the trace's
+    arrays by name.
+    """
+    S, I = model.state_slices, model.input_slices
+    process = [derive_stream(seed, i, PROCESS_NOISE) for i in range(len(agents))]
+    privacy = [derive_stream(seed, i, PRIVACY_NOISE) for i in range(len(agents))]
+    factors = [psd_factor(ag.W) for ag in agents]
+    x_hat0 = np.concatenate([ag.x0_mean for ag in agents])
+    x = np.empty(model.n)
+    for i, ag in enumerate(agents):
+        x[S[i]] = ag.x0_mean
+        if ag.x0_cov is not None:
+            init = derive_stream(seed, i, INIT_STATE)
+            x[S[i]] = ag.x0_mean + init.correlated(psd_factor(ag.x0_cov))
+    out = {name: [] for name in ("x", "x_hat", "u", "y_bar", "stage_cost")}
+    x_hat, u = x_hat0, None
+    for k in range(horizon):
+        y_bar = np.empty(model.n)
+        for i, ag in enumerate(agents):
+            y_bar[S[i]] = ag.C @ x[S[i]] + privacy[i].normal(model.sigmas[i], ag.n)
+        if k > 0:
+            x_hat = filter_step(model.A, model.B, model.C, syn.kalman_gain, x_hat, u, y_bar)
+        u = syn.L @ x_hat
+        for name, value in (("x", x), ("x_hat", x_hat), ("u", u), ("y_bar", y_bar),
+                            ("stage_cost", incremental_cost(x, u, model.Q, model.R))):
+            out[name].append(value)
+        x = np.concatenate([
+            ag.A @ x[S[i]] + ag.B @ u[I[i]] + process[i].correlated(factors[i])
+            for i, ag in enumerate(agents)
+        ])
+    shapes = {"x": (horizon, model.n), "x_hat": (horizon, model.n),
+              "u": (horizon, model.m), "y_bar": (horizon, model.n),
+              "stage_cost": (horizon,)}
+    out = {name: np.array(values).reshape(shapes[name]) for name, values in out.items()}
+    total, avg = 0.0, []
+    for k, cost in enumerate(out["stage_cost"]):
+        total += cost
+        avg.append(total / (k + 1))
+    out["avg_cost"] = np.array(avg).reshape(horizon)
+    out["x_hat0"] = x_hat0
+    return out
+
+
+@st.composite
+def _noisy_networks(draw):
+    """_networks with a dense W and a drawn x0_cov, or none, per agent."""
+    _, agents = draw(_networks())
+    varied = []
+    for ag in agents:
+        n = ag.n
+        G = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                                   max_size=n * n))).reshape(n, n)
+        x0_cov = draw(st.sampled_from([None, np.eye(n), G @ G.T]))
+        varied.append(replace(ag, W=G @ G.T + 0.1 * np.eye(n), x0_cov=x0_cov,
+                              x0_mean=np.full(n, draw(st.floats(-2.0, 2.0)))))
+    n_total = sum(ag.n for ag in varied)
+    m_total = sum(ag.m for ag in varied)
+    return assemble_network(varied, Q=np.eye(n_total), R=np.eye(m_total)), varied
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=_noisy_networks(), horizon=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_whole_horizon_draws_match_per_step_oracle(net, horizon, seed):
+    # Drawing each stream once per run must not move a single bit of the
+    # trace, odd agent dimensions (a discarded Box-Muller half) included.
+    model, agents = net
+    syn = synthesize(model)
+    trace = run_simulation(model, agents, horizon, seed, synthesis=syn)
+    expected = _reference_simulation(model, agents, horizon, seed, syn)
+    for name, value in expected.items():
+        assert np.array_equal(getattr(trace, name), value), name
 
 
 def test_wire_never_carries_true_state_values():

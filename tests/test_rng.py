@@ -62,6 +62,31 @@ def test_draw_size_edge_cases():
         s.standard_normal(-1)
 
 
+@pytest.mark.parametrize("rows, width", [(1, 1), (5, 1), (7, 2), (6, 3), (4, 4), (3, 5),
+                                         (3, 0)])
+def test_row_draws_equal_successive_calls(rows, width):
+    block = GaussianStream(17).standard_normal_rows(rows, width)
+    stream = GaussianStream(17)
+    calls = np.array([stream.standard_normal(width) for _ in range(rows)])
+    assert block.shape == (rows, width)
+    assert np.array_equal(block, calls)
+    # the stream ends where the successive calls leave it
+    rest = GaussianStream(17)
+    rest.standard_normal_rows(rows, width)
+    assert np.array_equal(rest.standard_normal(5), stream.standard_normal(5))
+
+
+def test_row_draw_edge_cases():
+    s = GaussianStream(0)
+    assert s.standard_normal_rows(0, 3).shape == (0, 3)
+    # zero rows draw nothing
+    assert np.array_equal(s.standard_normal(3), GaussianStream(0).standard_normal(3))
+    with pytest.raises(ValueError):
+        s.standard_normal_rows(-1, 2)
+    with pytest.raises(ValueError):
+        s.standard_normal_rows(2, -1)
+
+
 def test_normal_scales_standard_draws():
     z = GaussianStream(8).standard_normal(16)
     w = GaussianStream(8).normal(2.5, 16)
@@ -135,6 +160,8 @@ def test_psd_factor_positive_definite_uses_cholesky():
     F = psd_factor(M)
     assert_allclose(F, np.linalg.cholesky(M), rtol=1e-12)
     assert_allclose(F @ F.T, M, rtol=1e-12)
+    # an empty covariance has an empty factor
+    assert psd_factor(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_psd_factor_semidefinite_fallback():
