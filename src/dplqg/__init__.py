@@ -37,7 +37,6 @@ from .network import (
     NetworkModel,
     SimulationTrace,
     WireMessage,
-    agent_step,
     assemble_network,
     eavesdropper_view,
     replay_estimates,
@@ -91,7 +90,6 @@ __all__ = [
     "SynthesisResult",
     "WireMessage",
     "adjacency_check",
-    "agent_step",
     "assemble_network",
     "build_network",
     "calibrate_sigma",

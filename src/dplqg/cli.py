@@ -18,7 +18,6 @@ with the same inputs rewrites byte-identical files.
 """
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
@@ -31,7 +30,9 @@ from .config import build_network, load, resolve_costs
 from .errors import AssumptionError, ConfigError, ConvergenceError
 from .lqg import synthesize
 from .network import (
+    _cells,
     _fmt,
+    _write_rows,
     assemble_network,
     run_simulation,
     write_messages_csv,
@@ -44,11 +45,8 @@ DEFAULT_SWEEP_SEEDS = 10
 
 
 def _write_matrix(M, path):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in M:
-            writer.writerow([_fmt(v) for v in row])
+        _write_rows(fh, _cells(np.atleast_2d(np.asarray(M, dtype=float))))
 
 
 def _write_kv(lines, path):
@@ -184,10 +182,7 @@ def cmd_sweep_epsilon(cfg, out=None, grid=None, n_seeds=DEFAULT_SWEEP_SEEDS,
     fields = ["epsilon", "sigma", "mean_cost", "logdet_cov",
               "entropy_bound", "condition_margin"]
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row[f]) for f in fields])
+        _write_rows(fh, [fields] + [[_fmt(row[f]) for f in fields] for row in rows])
     print(f"wrote sweep results to {out_dir}")
     return 0
 

@@ -90,20 +90,33 @@ def filter_step(A, B, C, gain, x_hat, u, y_bar_next):
 
 
 def incremental_cost(x, u, Q, R):
-    """Stage cost x^T Q x + u^T R u.
+    """Stage cost x^T Q x + u^T R u, of one step or of each row of a stack.
 
-    Q and R are assumed valid cost matrices (validated once at network
-    assembly, not per step). Dimension mismatches raise ValueError.
+    x and u are one step's state and input, returning a float, or (T, n)
+    and (T, m) stacks of rows, returning a (T,) array whose entry k has the
+    bits of the call on row k: each row takes the products of x @ Q @ x as
+    a stacked matmul. Q and R are assumed valid cost matrices (validated
+    once at network assembly); dimension mismatches raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    if Q.shape != (x.size, x.size):
-        raise ValueError(f"Q has shape {Q.shape}, state has size {x.size}")
-    if R.shape != (u.size, u.size):
-        raise ValueError(f"R has shape {R.shape}, input has size {u.size}")
-    return float(x @ Q @ x + u @ R @ u)
+    if x.ndim not in (1, 2) or u.ndim != x.ndim or u.shape[:-1] != x.shape[:-1]:
+        raise ValueError(f"x and u must be vectors or stacks of as many rows, "
+                         f"got shapes {x.shape} and {u.shape}")
+    if Q.shape != x.shape[-1:] * 2:
+        raise ValueError(f"Q has shape {Q.shape}, state has size {x.shape[-1]}")
+    if R.shape != u.shape[-1:] * 2:
+        raise ValueError(f"R has shape {R.shape}, input has size {u.shape[-1]}")
+    cost = _quadratic_form(x, Q) + _quadratic_form(u, R)
+    return float(cost) if cost.ndim == 0 else cost
+
+
+def _quadratic_form(x, M):
+    """x^T M x of each row of x, as (x @ M) @ x of that row alone."""
+    row = x[..., None, :]
+    return np.matmul(np.matmul(row, M), row.swapaxes(-1, -2))[..., 0, 0]
 
 
 def moving_average_cost(stage_costs, k):

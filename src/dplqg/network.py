@@ -17,9 +17,18 @@ leaks: the cloud's entire estimate sequence is reconstructible from public
 model data plus the log, since the replay runs the cloud's own update
 (dplqg.lqg.filter_step). Simulations are bit-reproducible for a given master
 seed (see dplqg.rng for the stream discipline).
+
+Agents of equal (n_i, m_i) step as one group: each step makes one stacked
+C_g x_g and one A_g x_g + B_g u_g per group, an np.matmul over the
+group's (G, n_i, n_i) blocks, and then adds the step's noise, y = C x + v
+and x+ = (A x + B u) + w, in the order of the per-agent equations. The
+noise w_i = F_i z is formed for the whole horizon, also as a stacked matmul
+over the rows. A stacked matmul runs each block through the same
+matrix-vector kernel as C_i @ x_i, so every agent's numbers keep their
+bits. A block-diagonal A @ x over the whole state, or Z @ F^T over the
+horizon, sums in another order and moves the last bits, so neither is used.
 """
 
-import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -289,17 +298,27 @@ class SimulationTrace:
         return WireLog(self.y_bar, self.u, self.state_dims, self.input_dims)
 
 
-def agent_step(agent, x, u, z, noise_factor=None):
-    """Advance one agent: x+ = A x + B u + F z, so w = F z ~ N(0, W).
+def _agent_groups(agents, model):
+    """Agents grouped by (n_i, m_i), in order of first appearance.
 
-    z is the step's standard-normal draw of width n, a row of the agent's
-    process stream (GaussianStream.standard_normal_rows), and F F^T = W
-    (see dplqg.rng.psd_factor). Pass a precomputed factor to avoid
-    refactorizing in a loop.
+    Each group is (state index, input index, A, B, C): the (G, n_i) and
+    (G, m_i) positions of its G agents' entries in the network vectors, and
+    the agents' A_i, B_i and C_i stacked as (G, ...) arrays.
     """
-    if noise_factor is None:
-        noise_factor = psd_factor(agent.W)
-    return agent.A @ x + agent.B @ u + noise_factor @ z
+    members = {}
+    for i, ag in enumerate(agents):
+        members.setdefault((ag.n, ag.m), []).append(i)
+    states, inputs = np.arange(model.n), np.arange(model.m)
+    S, I = model.state_slices, model.input_slices
+    return [(np.array([states[S[i]] for i in group]),
+             np.array([inputs[I[i]] for i in group]),
+             *(np.stack([getattr(agents[i], name) for i in group]) for name in "ABC"))
+            for group in members.values()]
+
+
+def _stacked(M, x):
+    """Row g of the result is M[g] @ x[g] (M @ x[g] for one matrix M)."""
+    return np.matmul(M, x[:, :, None])[:, :, 0]
 
 
 def run_simulation(model, agents, horizon, seed, synthesis=None):
@@ -310,10 +329,12 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     precomputed SynthesisResult; by default it is computed here.
 
     Each agent's process and privacy streams are drawn once for the whole
-    horizon (GaussianStream.standard_normal_rows), and step k uses row k:
-    the privacy noise sigma_i * z_k and the process noise F_i @ z_k are
-    formed per step, so the trace is bit-equal to one standard_normal(n_i)
-    call per stream per step.
+    horizon (GaussianStream.standard_normal_rows), and the noise is formed
+    before the loop: v_i(k) = sigma_i z_k and w_i(k) = F_i z_k, the latter
+    as a stacked matmul of F_i over the rows. Agents of equal (n_i, m_i) step
+    together: one stacked C_g x_g and one A_g x_g + B_g u_g per group, then
+    y += v(k) and x+ += w(k). Stage costs and their running means are
+    computed after the loop from the recorded rows.
     """
     agents = list(agents)
     if len(agents) != model.n_agents:
@@ -327,19 +348,23 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
         synthesis = synthesize(model)
     n, m = model.n, model.m
     s_slices = model.state_slices
-    i_slices = model.input_slices
     A, B, C = model.A, model.B, model.C
     gain = synthesis.kalman_gain
     L = synthesis.L
 
-    process = [derive_stream(seed, i, PROCESS_NOISE).standard_normal_rows(horizon, ag.n)
-               for i, ag in enumerate(agents)]
-    privacy = [derive_stream(seed, i, PRIVACY_NOISE).standard_normal_rows(horizon, ag.n)
-               for i, ag in enumerate(agents)]
-    factors = [psd_factor(ag.W) for ag in agents]
+    v, w = np.empty((horizon, n)), np.empty((horizon, n))
+    for i, ag in enumerate(agents):
+        s = s_slices[i]
+        v[:, s] = model.sigmas[i] * derive_stream(
+            seed, i, PRIVACY_NOISE).standard_normal_rows(horizon, ag.n)
+        z = derive_stream(seed, i, PROCESS_NOISE).standard_normal_rows(horizon, ag.n)
+        w[:, s] = _stacked(psd_factor(ag.W), z)
+    groups = _agent_groups(agents, model)
 
     x_hat0 = np.concatenate([ag.x0_mean for ag in agents])
-    x = np.empty(n)
+    xs, x_hats, y_bars = (np.empty((horizon, n)) for _ in range(3))
+    us = np.empty((horizon, m))
+    x = xs[0] if horizon else np.empty(n)
     for i, ag in enumerate(agents):
         if ag.x0_true is not None:
             x[s_slices[i]] = ag.x0_true
@@ -349,39 +374,28 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
         else:
             x[s_slices[i]] = ag.x0_mean
 
-    xs, x_hats, y_bars = (np.empty((horizon, n)) for _ in range(3))
-    us = np.empty((horizon, m))
-    stage, avg = np.empty(horizon), np.empty(horizon)
-
     x_hat = x_hat0
-    u_prev = None
-    cost_sum = 0.0
     for k in range(horizon):
-        y_bar = y_bars[k]
-        for i, ag in enumerate(agents):
-            noise = model.sigmas[i] * privacy[i][k]
-            y_bar[s_slices[i]] = ag.C @ x[s_slices[i]] + noise
+        x, y_bar = xs[k], y_bars[k]
+        for s, _, _, _, C_g in groups:
+            y_bar[s] = _stacked(C_g, x[s])
+        y_bar += v[k]
         if k > 0:
-            x_hat = filter_step(A, B, C, gain, x_hat, u_prev, y_bar)
-        u = L @ x_hat
-        xs[k] = x
+            x_hat = filter_step(A, B, C, gain, x_hat, us[k - 1], y_bar)
         x_hats[k] = x_hat
-        us[k] = u
-        stage[k] = incremental_cost(x, u, model.Q, model.R)
-        cost_sum += stage[k]
-        avg[k] = cost_sum / (k + 1)
-        x_next = np.empty(n)
-        for i, ag in enumerate(agents):
-            x_next[s_slices[i]] = agent_step(
-                ag, x[s_slices[i]], u[i_slices[i]], process[i][k], factors[i]
-            )
-        x = x_next
-        u_prev = u
+        u = us[k] = L @ x_hat
+        if k + 1 < horizon:
+            x_next = xs[k + 1]
+            for s, t, A_g, B_g, _ in groups:
+                x_next[s] = _stacked(A_g, x[s]) + _stacked(B_g, u[t])
+            x_next += w[k]
 
+    del v, w  # the noise is spent; free it before the cost's temporaries
+    stage = incremental_cost(xs, us, model.Q, model.R)
     return SimulationTrace(
         x=xs, x_hat=x_hats, u=us, y_bar=y_bars,
-        stage_cost=stage, avg_cost=avg, x_hat0=x_hat0,
-        state_dims=model.state_dims, input_dims=model.input_dims,
+        stage_cost=stage, avg_cost=np.cumsum(stage) / np.arange(1, horizon + 1),
+        x_hat0=x_hat0, state_dims=model.state_dims, input_dims=model.input_dims,
     )
 
 
@@ -419,13 +433,36 @@ def replay_estimates(messages, model, filter_synthesis, x_hat0):
 # CSV serialization
 # ----------------------------------------------------------------------
 
+# Steps formatted per write: few enough that the cell strings of one batch
+# stay small next to the trace, many enough to amortize the per-batch calls.
+CSV_BATCH_STEPS = 256
+
+
 def _fmt(value):
     return repr(float(value))
 
 
-def _padded(vec, width):
-    cells = [_fmt(v) for v in vec]
-    return cells + [""] * (width - len(cells))
+def _cells(block):
+    """The repr of each float of a 2-D array, one list of strings per row,
+    made as the rows are consumed."""
+    return (list(map(repr, row)) for row in block.tolist())
+
+
+def _write_rows(fh, rows):
+    """Write rows of cell strings, each joined by commas and ended by CRLF.
+
+    These are the bytes csv.writer writes in its default (excel) dialect,
+    which quotes only a cell holding a comma, a quote or a line break, or a
+    row that is one empty cell. No cell here needs that: the cells are
+    float reprs, step and agent numbers, names and empty padding, and a row
+    with one cell holds a float.
+    """
+    fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
+def _padding(widths, width):
+    """The empty cells that pad each of the given widths to `width`."""
+    return [[""] * (width - w) for w in widths]
 
 
 def write_trace_csv(trace, path):
@@ -436,40 +473,56 @@ def write_trace_csv(trace, path):
     dimensions (narrower agents leave trailing cells empty), then the
     network-level stage_cost and avg_cost repeated on each agent row of the
     step. Floats are written with repr, so identical traces give identical
-    bytes.
+    bytes. Rows are formatted CSV_BATCH_STEPS steps at a time.
     """
     p, q = max(trace.state_dims), max(trace.input_dims)
     header = ["k", "agent_id"]
     for name, width in (("x", p), ("xhat", p), ("u", q), ("ybar", p)):
         header += [f"{name}{j}" for j in range(width)]
     header += ["stage_cost", "avg_cost"]
-    slices = list(zip(_slices(trace.state_dims), _slices(trace.input_dims)))
+    # agent i's x, xhat, u and ybar cells are slices i, N+i, 2N+i and 3N+i
+    # of the step's [x | x_hat | u | y_bar | stage_cost avg_cost] row
+    N = len(trace.state_dims)
+    cols = _slices(trace.state_dims * 2 + trace.input_dims + trace.state_dims)
+    pad_x, pad_u = _padding(trace.state_dims, p), _padding(trace.input_dims, q)
+    layout = [(str(i), *cols[i::N], pad_x[i], pad_u[i]) for i in range(N)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(trace.horizon):
-            costs = [_fmt(trace.stage_cost[k]), _fmt(trace.avg_cost[k])]
-            for i, (s, t) in enumerate(slices):
-                writer.writerow(
-                    [str(k), str(i)] + _padded(trace.x[k, s], p)
-                    + _padded(trace.x_hat[k, s], p) + _padded(trace.u[k, t], q)
-                    + _padded(trace.y_bar[k, s], p) + costs
-                )
+        _write_rows(fh, [header])
+        for k0 in range(0, trace.horizon, CSV_BATCH_STEPS):
+            steps = slice(k0, k0 + CSV_BATCH_STEPS)
+            block = np.column_stack([a[steps] for a in (
+                trace.x, trace.x_hat, trace.u, trace.y_bar,
+                trace.stage_cost, trace.avg_cost)])
+            rows = []
+            for j, cells in enumerate(_cells(block)):
+                k, costs = str(k0 + j), cells[-2:]
+                for i, x, x_hat, u, y_bar, px, pu in layout:
+                    rows.append([k, i, *cells[x], *px, *cells[x_hat], *px,
+                                 *cells[u], *pu, *cells[y_bar], *px, *costs])
+            _write_rows(fh, rows)
 
 
 def write_messages_csv(log, path):
     """Write a WireLog as CSV: kind, sender, receiver, k, payload cells.
 
     Rows come in the log's protocol order, formatted straight from its
-    arrays. Payload columns run to the widest agent state or input
-    dimension (none for an empty log); narrower payloads leave trailing
-    cells empty.
+    arrays, CSV_BATCH_STEPS steps at a time. Payload columns run to the
+    widest agent state or input dimension (none for an empty log); narrower
+    payloads leave trailing cells empty.
     """
-    width = max(log.state_dims + log.input_dims) if len(log) else 0
+    widths = log.state_dims + log.input_dims
+    width = max(widths) if len(log) else 0
+    # message r's payload is slice r of the step's [y_bar | u] row
+    layout = list(zip(log._slots, _slices(widths), _padding(widths, width)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "sender", "receiver", "k"]
-                        + [f"payload{j}" for j in range(width)])
-        for j in range(len(log)):
-            kind, sender, receiver, k, payload = log._entry(j)
-            writer.writerow([kind, sender, receiver, str(k)] + _padded(payload, width))
+        _write_rows(fh, [["kind", "sender", "receiver", "k"]
+                         + [f"payload{j}" for j in range(width)]])
+        for k0 in range(0, log.horizon, CSV_BATCH_STEPS):
+            steps = slice(k0, k0 + CSV_BATCH_STEPS)
+            rows = []
+            for j, cells in enumerate(_cells(np.hstack((log.y_bar[steps],
+                                                        log.u[steps])))):
+                k = str(k0 + j)
+                for slot, s, pad in layout:
+                    rows.append([*slot, k, *cells[s], *pad])
+            _write_rows(fh, rows)

@@ -128,6 +128,16 @@ def test_incremental_cost_quadratic_form():
     expected = x @ Q @ x + u @ R @ u
     assert incremental_cost(x, u, Q, R) == expected
     assert incremental_cost(np.zeros(2), np.zeros(1), Q, R) == 0.0
+    # a stack of rows gives each row's one-step bits
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((50, 2)) * 10.0 ** rng.integers(-8, 8, (50, 1))
+    U = rng.standard_normal((50, 1))
+    stacked = incremental_cost(X, U, Q, R)
+    assert stacked.shape == (50,)
+    rows = zip(X, U)
+    assert stacked.tolist() == [float(a @ Q @ a + b @ R @ b) for a, b in rows]
+    assert stacked.tolist() == [incremental_cost(a, b, Q, R) for a, b in zip(X, U)]
+    assert incremental_cost(np.zeros((0, 2)), np.zeros((0, 1)), Q, R).shape == (0,)
 
 
 def test_incremental_cost_dimension_checks():
@@ -135,6 +145,10 @@ def test_incremental_cost_dimension_checks():
         incremental_cost(np.zeros(2), np.zeros(1), np.eye(3), np.eye(1))
     with pytest.raises(ValueError):
         incremental_cost(np.zeros(2), np.zeros(1), np.eye(2), np.eye(2))
+    with pytest.raises(ValueError):
+        incremental_cost(np.zeros((3, 2)), np.zeros((4, 1)), np.eye(2), np.eye(1))
+    with pytest.raises(ValueError):
+        incremental_cost(np.zeros((3, 2)), np.zeros(1), np.eye(2), np.eye(1))
 
 
 def test_moving_average_cost():

@@ -1,24 +1,27 @@
 """Tests for network assembly, simulation, the wire log, and replay."""
 
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dplqg.cli import _write_matrix
 from dplqg.errors import AssumptionError
-from dplqg.lqg import filter_step, incremental_cost, synthesize
+from dplqg.lqg import filter_step, synthesize
 from dplqg.network import (
     CLOUD,
     CONTROL,
     MEASUREMENT,
+    CSV_BATCH_STEPS,
     AgentModel,
     NetworkModel,
+    SimulationTrace,
     WireLog,
-    agent_step,
     assemble_network,
     eavesdropper_view,
     replay_estimates,
@@ -31,7 +34,6 @@ from dplqg.rng import (
     INIT_STATE,
     PRIVACY_NOISE,
     PROCESS_NOISE,
-    GaussianStream,
     derive_stream,
     psd_factor,
 )
@@ -175,29 +177,6 @@ def test_state_and_input_slices():
     model, _ = _two_agent_setup()
     assert model.state_slices == [slice(0, 2), slice(2, 4)]
     assert model.input_slices == [slice(0, 1), slice(1, 2)]
-
-
-# ----------------------------------------------------------------------
-# Dynamics stepping
-# ----------------------------------------------------------------------
-
-def test_agent_step_reproduces_equation():
-    agent = _double_integrator_agent(1.0, 0.1)
-    F = psd_factor(agent.W)
-    z = GaussianStream(3).standard_normal(2)
-    x = np.array([1.0, -0.5])
-    u = np.array([0.3])
-    out = agent_step(agent, x, u, z, F)
-    expected = agent.A @ x + agent.B @ u + F @ z
-    assert_allclose(out, expected, rtol=0.0, atol=0.0)
-
-
-def test_agent_step_factorizes_when_not_given():
-    agent = _scalar_agent()
-    z = GaussianStream(9).standard_normal(1)
-    a = agent_step(agent, np.ones(1), np.zeros(1), z)
-    b = agent_step(agent, np.ones(1), np.zeros(1), z, psd_factor(agent.W))
-    assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -468,12 +447,12 @@ def test_wire_log_round_trip_and_replay_property(net, horizon, seed):
 
 
 def _reference_simulation(model, agents, horizon, seed, syn):
-    """The per-step simulation loop, kept as the oracle for the trace bits
-    of agents without x0_true.
+    """The per-step simulation loop, kept as the oracle for the trace bits.
 
-    One standard_normal(n_i) call per stream per step: sigma_i * z for the
-    privacy noise and F_i @ z for the process noise. Returns the trace's
-    arrays by name.
+    Each agent steps alone, with one standard_normal(n_i) call per stream
+    per step: y_i = C_i x_i + sigma_i z and x_i+ = A_i x_i + B_i u_i + F_i z.
+    The stage cost is x @ Q @ x + u @ R @ u of the step's vectors and its
+    running mean a running sum. Returns the trace's arrays by name.
     """
     S, I = model.state_slices, model.input_slices
     process = [derive_stream(seed, i, PROCESS_NOISE) for i in range(len(agents))]
@@ -483,7 +462,9 @@ def _reference_simulation(model, agents, horizon, seed, syn):
     x = np.empty(model.n)
     for i, ag in enumerate(agents):
         x[S[i]] = ag.x0_mean
-        if ag.x0_cov is not None:
+        if ag.x0_true is not None:
+            x[S[i]] = ag.x0_true
+        elif ag.x0_cov is not None:
             init = derive_stream(seed, i, INIT_STATE)
             x[S[i]] = ag.x0_mean + init.correlated(psd_factor(ag.x0_cov))
     out = {name: [] for name in ("x", "x_hat", "u", "y_bar", "stage_cost")}
@@ -496,7 +477,7 @@ def _reference_simulation(model, agents, horizon, seed, syn):
             x_hat = filter_step(model.A, model.B, model.C, syn.kalman_gain, x_hat, u, y_bar)
         u = syn.L @ x_hat
         for name, value in (("x", x), ("x_hat", x_hat), ("u", u), ("y_bar", y_bar),
-                            ("stage_cost", incremental_cost(x, u, model.Q, model.R))):
+                            ("stage_cost", float(x @ model.Q @ x + u @ model.R @ u))):
             out[name].append(value)
         x = np.concatenate([
             ag.A @ x[S[i]] + ag.B @ u[I[i]] + process[i].correlated(factors[i])
@@ -515,28 +496,69 @@ def _reference_simulation(model, agents, horizon, seed, syn):
     return out
 
 
+def _dense(draw, n):
+    return np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                                  max_size=n * n))).reshape(n, n)
+
+
+def _vector(draw, n):
+    return np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+
+
+def _coupled_network(agents, G_q, G_r):
+    """Assemble agents under the dense SPD Q = G_q G_q^T + 0.1 I and R alike."""
+    Q = G_q @ G_q.T + 0.1 * np.eye(len(G_q))
+    R = G_r @ G_r.T + 0.1 * np.eye(len(G_r))
+    return assemble_network(agents, Q=Q, R=R), agents
+
+
 @st.composite
 def _noisy_networks(draw):
-    """_networks with a dense W and a drawn x0_cov, or none, per agent."""
+    """_networks made dense: per agent a dense W and a dense invertible C
+    (diagonally dominant), x0_true drawn or absent, x0_cov absent, identity
+    or drawn; dense SPD Q and R that couple the agents."""
     _, agents = draw(_networks())
     varied = []
     for ag in agents:
         n = ag.n
-        G = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
-                                   max_size=n * n))).reshape(n, n)
+        G = _dense(draw, n)
         x0_cov = draw(st.sampled_from([None, np.eye(n), G @ G.T]))
+        x0_true = _vector(draw, n) if draw(st.booleans()) else None
         varied.append(replace(ag, W=G @ G.T + 0.1 * np.eye(n), x0_cov=x0_cov,
-                              x0_mean=np.full(n, draw(st.floats(-2.0, 2.0)))))
-    n_total = sum(ag.n for ag in varied)
-    m_total = sum(ag.m for ag in varied)
-    return assemble_network(varied, Q=np.eye(n_total), R=np.eye(m_total)), varied
+                              C=_dense(draw, n) + (n + 1) * np.eye(n),
+                              x0_true=x0_true, x0_mean=_vector(draw, n)))
+    n_total, m_total = sum(ag.n for ag in varied), sum(ag.m for ag in varied)
+    return _coupled_network(varied, _dense(draw, n_total), _dense(draw, m_total))
+
+
+def _interleaved_network():
+    """State dims (2, 1, 2): agents 0 and 2 form one group, apart in x."""
+    rng = np.random.default_rng(5)
+    agents = []
+    for n in (2, 1, 2):
+        G = rng.uniform(-1.0, 1.0, (n, n))
+        agents.append(AgentModel(
+            A=0.9 * np.eye(n) + 0.1 * np.eye(n, k=1), B=np.eye(n)[:, -1:],
+            C=rng.uniform(-1.0, 1.0, (n, n)) + (n + 1) * np.eye(n),
+            W=G @ G.T + 0.1 * np.eye(n),
+            privacy=PrivacySpec(epsilon=0.8, delta=0.2),
+            x0_mean=rng.uniform(-2.0, 2.0, n),
+            x0_true=rng.uniform(-2.0, 2.0, n) if n == 1 else None,
+            x0_cov=np.eye(n) if n == 2 else None,
+        ))
+    return _coupled_network(agents, rng.uniform(-1.0, 1.0, (5, 5)),
+                            rng.uniform(-1.0, 1.0, (3, 3)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(net=_noisy_networks(), horizon=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(net=_interleaved_network(), horizon=25, seed=9)
 def test_whole_horizon_draws_match_per_step_oracle(net, horizon, seed):
-    # Drawing each stream once per run must not move a single bit of the
-    # trace, odd agent dimensions (a discarded Box-Muller half) included.
+    # Drawing each stream once per run and stepping each group of like
+    # agents as one stacked product must not move a single bit of the
+    # trace: odd agent dimensions (a discarded Box-Muller half), groups
+    # apart in the state vector, a dense C and a Q and R that couple the
+    # agents included.
     model, agents = net
     syn = synthesize(model)
     trace = run_simulation(model, agents, horizon, seed, synthesis=syn)
@@ -612,3 +634,100 @@ def test_mixed_dimension_agents_pad_csv(tmp_path):
     row0 = lines[1].split(",")
     x1_col = lines[0].split(",").index("x1")
     assert row0[x1_col] == ""
+
+
+def _cell(value):
+    return repr(float(value))
+
+
+def _reference_trace_csv(trace, path):
+    """The per-cell trace writer, kept as the oracle for write_trace_csv's
+    bytes: csv.writer with repr(float(v)) for each cell."""
+    p, q = max(trace.state_dims), max(trace.input_dims)
+    header = ["k", "agent_id"]
+    for name, width in (("x", p), ("xhat", p), ("u", q), ("ybar", p)):
+        header += [f"{name}{j}" for j in range(width)]
+    header += ["stage_cost", "avg_cost"]
+
+    def padded(vec, width):
+        return [_cell(v) for v in vec] + [""] * (width - len(vec))
+
+    S = [slice(a - n, a) for a, n in zip(np.cumsum(trace.state_dims), trace.state_dims)]
+    I = [slice(a - m, a) for a, m in zip(np.cumsum(trace.input_dims), trace.input_dims)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(trace.horizon):
+            costs = [_cell(trace.stage_cost[k]), _cell(trace.avg_cost[k])]
+            for i, (s, t) in enumerate(zip(S, I)):
+                writer.writerow([str(k), str(i)] + padded(trace.x[k, s], p)
+                                + padded(trace.x_hat[k, s], p) + padded(trace.u[k, t], q)
+                                + padded(trace.y_bar[k, s], p) + costs)
+
+
+def _reference_messages_csv(log, path):
+    """The per-message writer, kept as the oracle for write_messages_csv."""
+    width = max(log.state_dims + log.input_dims) if len(log) else 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kind", "sender", "receiver", "k"]
+                        + [f"payload{j}" for j in range(width)])
+        for msg in log:
+            writer.writerow([msg.kind, msg.sender, msg.receiver, str(msg.k)]
+                            + [_cell(v) for v in msg.payload]
+                            + [""] * (width - msg.payload.size))
+
+
+def _reference_matrix_csv(M, path):
+    """The per-cell matrix writer, kept as the oracle for cli._write_matrix."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in np.atleast_2d(np.asarray(M, dtype=float)):
+            writer.writerow([_cell(v) for v in row])
+
+
+_AWKWARD_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+                   -1e300, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e16, 123456789.0]
+
+
+@st.composite
+def _traces(draw):
+    """SimulationTraces built directly: mixed agent dims, T at the edges of
+    a CSV batch, and floats of every awkward kind."""
+    N = draw(st.integers(1, 3))
+    dims = st.lists(st.integers(1, 3), min_size=N, max_size=N)
+    state_dims, input_dims = tuple(draw(dims)), tuple(draw(dims))
+    B = CSV_BATCH_STEPS
+    T = draw(st.sampled_from([0, 1, B - 1, B, B + 1]))
+    pool = np.array(_AWKWARD_FLOATS + draw(st.lists(st.floats(), max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(*shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        awkward = rng.random(shape) < 0.3
+        out[awkward] = rng.choice(pool, size=int(awkward.sum()))
+        return out
+
+    n, m = sum(state_dims), sum(input_dims)
+    return SimulationTrace(
+        x=values(T, n), x_hat=values(T, n), u=values(T, m), y_bar=values(T, n),
+        stage_cost=values(T), avg_cost=values(T), x_hat0=values(n),
+        state_dims=state_dims, input_dims=input_dims,
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(trace=_traces())
+def test_csv_writers_match_per_cell_oracle(trace, tmp_path_factory):
+    # Whole-row batches must write the bytes of csv.writer fed one repr
+    # per cell, for every CSV: trace, wire log and matrix.
+    out = tmp_path_factory.mktemp("csv")
+    for write, reference, data in (
+            (write_trace_csv, _reference_trace_csv, trace),
+            (write_messages_csv, _reference_messages_csv, trace.messages),
+            (_write_matrix, _reference_matrix_csv, trace.x),
+            (_write_matrix, _reference_matrix_csv, trace.x_hat0)):
+        write(data, out / "new.csv")
+        reference(data, out / "reference.csv")
+        assert (out / "new.csv").read_bytes() == (out / "reference.csv").read_bytes(), \
+            write.__name__
