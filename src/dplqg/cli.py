@@ -32,6 +32,7 @@ from .lqg import synthesize
 from .network import (
     _cells,
     _fmt,
+    _lockstep,
     _write_rows,
     assemble_network,
     run_simulation,
@@ -120,7 +121,11 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     run from the master seed upward, so rows are directly comparable. The
     feedback gain does not depend on epsilon either (separation), so the
     control Riccati equation is solved once for the whole grid, and each
-    epsilon's filter solve also serves its entropy report.
+    epsilon's filter solve also serves its entropy report. Each seed runs
+    the whole grid as one lockstep batch (dplqg.network._lockstep), which
+    draws the seed's noise once, and keeps of each run only its final
+    average cost; mean_cost is the mean of those over the seeds, with the
+    bits of one run_simulation per (epsilon, seed).
     Each row is a dict with keys epsilon, sigma, mean_cost, logdet_cov,
     entropy_bound, condition_margin.
     """
@@ -135,7 +140,7 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
         raise ConfigError("sweep needs at least one simulation step")
     base_seed = cfg.seed if seed is None else int(seed)
     Q, R = resolve_costs(cfg, seed=base_seed)
-    rows = []
+    members = []
     control = None
     for eps in grid:
         agents = [
@@ -147,25 +152,30 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
         control = syn.control
         report = entropy_bound_report(model.A, model.W, model.C, model.V,
                                       Sigma=syn.Sigma)
-        costs = []
-        for j in range(n_seeds):
-            trace = run_simulation(
-                model, agents, horizon, base_seed + j, synthesis=syn
-            )
-            costs.append(trace.avg_cost[-1])
-        rows.append(
-            {
-                "epsilon": eps,
-                "sigma": model.sigmas[0],
-                "mean_cost": float(np.mean(costs)),
-                "logdet_cov": logdet(syn.Sigma),
-                "entropy_bound": (
-                    report.entropy_bound if report.condition_holds else math.nan
-                ),
-                "condition_margin": report.condition_margin,
-            }
-        )
-    return rows
+        members.append((eps, model, syn, report))
+    sigmas = [model.sigmas for _, model, _, _ in members]
+    gains = [syn.kalman_gain for _, _, syn, _ in members]
+    # the runs differ only in sigma and the Kalman gain, so the last
+    # epsilon's model and agents serve the whole batch
+    costs = np.empty((len(grid), n_seeds))
+    for j in range(n_seeds):
+        for chunk in _lockstep(model, agents, horizon, base_seed + j,
+                               control.L, sigmas, gains):
+            pass  # only the last chunk's average costs are kept
+        costs[:, j] = chunk.avg_cost[-1]
+    return [
+        {
+            "epsilon": eps,
+            "sigma": model.sigmas[0],
+            "mean_cost": float(np.mean(cost)),
+            "logdet_cov": logdet(syn.Sigma),
+            "entropy_bound": (
+                report.entropy_bound if report.condition_holds else math.nan
+            ),
+            "condition_margin": report.condition_margin,
+        }
+        for (eps, model, syn, report), cost in zip(members, costs)
+    ]
 
 
 def cmd_sweep_epsilon(cfg, out=None, grid=None, n_seeds=DEFAULT_SWEEP_SEEDS,

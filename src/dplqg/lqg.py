@@ -92,17 +92,18 @@ def filter_step(A, B, C, gain, x_hat, u, y_bar_next):
 def incremental_cost(x, u, Q, R):
     """Stage cost x^T Q x + u^T R u, of one step or of each row of a stack.
 
-    x and u are one step's state and input, returning a float, or (T, n)
-    and (T, m) stacks of rows, returning a (T,) array whose entry k has the
-    bits of the call on row k: each row takes the products of x @ Q @ x as
-    a stacked matmul. Q and R are assumed valid cost matrices (validated
-    once at network assembly); dimension mismatches raise ValueError.
+    x and u are one step's state and input, returning a float, or (..., n)
+    and (..., m) stacks of rows, such as (T, n) and (T, m), returning an
+    array of the stacks' leading shape whose every entry has the bits of the
+    call on its row: each row takes the products of x @ Q @ x as a stacked
+    matmul. Q and R are assumed valid cost matrices (validated once at
+    network assembly); dimension mismatches raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    if x.ndim not in (1, 2) or u.ndim != x.ndim or u.shape[:-1] != x.shape[:-1]:
+    if x.ndim == 0 or u.ndim != x.ndim or u.shape[:-1] != x.shape[:-1]:
         raise ValueError(f"x and u must be vectors or stacks of as many rows, "
                          f"got shapes {x.shape} and {u.shape}")
     if Q.shape != x.shape[-1:] * 2:

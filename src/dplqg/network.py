@@ -18,19 +18,34 @@ model data plus the log, since the replay runs the cloud's own update
 (dplqg.lqg.filter_step). Simulations are bit-reproducible for a given master
 seed (see dplqg.rng for the stream discipline).
 
-Agents of equal (n_i, m_i) step as one group: each step makes one stacked
-C_g x_g and one A_g x_g + B_g u_g per group, an np.matmul over the
-group's (G, n_i, n_i) blocks, and then adds the step's noise, y = C x + v
-and x+ = (A x + B u) + w, in the order of the per-agent equations. The
-noise w_i = F_i z is formed for the whole horizon, also as a stacked matmul
-over the rows. A stacked matmul runs each block through the same
-matrix-vector kernel as C_i @ x_i, so every agent's numbers keep their
-bits. A block-diagonal A @ x over the whole state, or Z @ F^T over the
-horizon, sums in another order and moves the last bits, so neither is used.
+Runs advance in lockstep batches (_lockstep): S runs that share the agents,
+the seed and the control gain L, and differ only in their noise scales
+sigma_i and Kalman gain. run_simulation is a batch of one, and the epsilon
+sweep (dplqg.cli.sweep_epsilon) runs one batch per seed over its grid. The
+batch keeps every run's bits, for three reasons:
+
+* a per-run matrix-vector kernel: the state is held as (S, n, 1) columns and
+  every product is an np.matmul M @ X, with M shared (n, n), per run
+  (S, n, n), or, for a run of consecutive agents of equal (n_i, m_i), their
+  stacked (G, n_i, n_i) blocks. A stacked matmul runs each column through
+  the same matrix-vector kernel as C_i @ x_i of one agent in one run. A
+  block-diagonal A @ x over the whole state, Z @ F^T over the rows, or one
+  matrix-matrix product over the S runs sums in another order and moves the
+  last bits, so none is used;
+* chunked row draws that continue the stream: the horizon runs in chunks of
+  SIM_CHUNK_STEPS steps, and each chunk draws its rows of every stream once
+  for the whole batch (GaussianStream.standard_normal_rows). Successive row
+  draws continue the stream, so the chunks' rows are those of one
+  whole-horizon draw;
+* additions in per-agent order: each step adds the noise after the
+  products, y = C x + v and x+ = (A x + B u) + w with v = sigma z and
+  w = F z, and the running sum of stage costs is carried from chunk to
+  chunk in step order.
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -298,27 +313,140 @@ class SimulationTrace:
         return WireLog(self.y_bar, self.u, self.state_dims, self.input_dims)
 
 
-def _agent_groups(agents, model):
-    """Agents grouped by (n_i, m_i), in order of first appearance.
+# Steps per chunk of the lockstep engine: its noise rows and step rows are
+# made this many steps at a time, which bounds a batch's memory by the chunk,
+# not the horizon, and amortizes the per-chunk draws and cost calls.
+SIM_CHUNK_STEPS = 256
 
-    Each group is (state index, input index, A, B, C): the (G, n_i) and
-    (G, m_i) positions of its G agents' entries in the network vectors, and
-    the agents' A_i, B_i and C_i stacked as (G, ...) arrays.
+
+class _Chunk(NamedTuple):
+    """Rows `steps` of S lockstep runs: entry [k, j] belongs to step
+    steps.start + k of run j. The arrays are the caller's to keep."""
+
+    steps: slice
+    x: np.ndarray
+    x_hat: np.ndarray
+    u: np.ndarray
+    y_bar: np.ndarray
+    stage_cost: np.ndarray
+    avg_cost: np.ndarray
+
+
+def _agent_runs(agents, model):
+    """Maximal runs of consecutive agents of equal (n_i, m_i).
+
+    Each run is (state slice, input slice, G, n_i, m_i, A, B, C): where its
+    G agents' entries sit in the network vectors, and their A_i, B_i and C_i
+    stacked as (G, ...) arrays. A run is contiguous in x and u, so each chunk
+    reaches it through a basic view.
     """
-    members = {}
+    runs, S, I = [], model.state_slices, model.input_slices
     for i, ag in enumerate(agents):
-        members.setdefault((ag.n, ag.m), []).append(i)
-    states, inputs = np.arange(model.n), np.arange(model.m)
-    S, I = model.state_slices, model.input_slices
-    return [(np.array([states[S[i]] for i in group]),
-             np.array([inputs[I[i]] for i in group]),
-             *(np.stack([getattr(agents[i], name) for i in group]) for name in "ABC"))
-            for group in members.values()]
+        if runs and runs[-1][-1] == (ag.n, ag.m):
+            runs[-1][0].append(i)
+        else:
+            runs.append(([i], (ag.n, ag.m)))
+    return [(slice(S[r[0]].start, S[r[-1]].stop), slice(I[r[0]].start, I[r[-1]].stop),
+             len(r), n, m,
+             *(np.stack([getattr(agents[i], name) for i in r]) for name in "ABC"))
+            for r, (n, m) in runs]
 
 
-def _stacked(M, x):
-    """Row g of the result is M[g] @ x[g] (M @ x[g] for one matrix M)."""
-    return np.matmul(M, x[:, :, None])[:, :, 0]
+def _check_agents(model, agents, horizon):
+    """The agents as a list, once they and the horizon are checked: as
+    many agents as the model's, each of the model's (n_i, m_i), and a
+    horizon >= 0. A mismatch raises ValueError naming the agent."""
+    agents = list(agents)
+    if len(agents) != model.n_agents:
+        raise ValueError(
+            f"model was assembled for {model.n_agents} agents, got {len(agents)}"
+        )
+    for i, ag in enumerate(agents):
+        dims = (model.state_dims[i], model.input_dims[i])
+        if (ag.n, ag.m) != dims:
+            raise ValueError(f"agent {i} has (n, m) = ({ag.n}, {ag.m}), but the "
+                             f"model was assembled with ({dims[0]}, {dims[1]})")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    return agents
+
+
+def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
+    """Advance S closed-loop runs in lockstep; yield their rows as _Chunks.
+
+    The runs share model's agents, dynamics and cost, the master seed and
+    the control gain L. Run j publishes with noise scales sigmas[j] (one
+    per agent) and filters with Kalman gain gains[j]. Run j's rows are
+    bit-equal to those of run_simulation on its own model and synthesis;
+    the module docstring says why. Chunks come SIM_CHUNK_STEPS steps at a
+    time, and avg_cost is the running mean of stage costs from step 0.
+    """
+    agents = _check_agents(model, agents, horizon)
+    gains = np.asarray(gains, dtype=float)
+    n_runs, n, m, N = len(gains), model.n, model.m, len(agents)
+    A, B, C = model.A, model.B, model.C
+    S = model.state_slices
+    scale = np.repeat(np.asarray(sigmas, dtype=float), model.state_dims,
+                      axis=1)[:, :, None]
+    privacy = [derive_stream(seed, i, PRIVACY_NOISE) for i in range(N)]
+    process = [derive_stream(seed, i, PROCESS_NOISE) for i in range(N)]
+    factors = [psd_factor(ag.W) for ag in agents]
+    runs = _agent_runs(agents, model)
+
+    x_hat0 = np.concatenate([ag.x0_mean for ag in agents])
+    x = np.empty((n, 1))
+    for i, ag in enumerate(agents):
+        if ag.x0_true is not None:
+            x[S[i], 0] = ag.x0_true
+        elif ag.x0_cov is not None:
+            init = derive_stream(seed, i, INIT_STATE)
+            x[S[i], 0] = ag.x0_mean + init.correlated(psd_factor(ag.x0_cov))
+        else:
+            x[S[i], 0] = ag.x0_mean
+    x_hat = np.tile(x_hat0[:, None], (n_runs, 1, 1))
+    total = u = None
+    for k0 in range(0, horizon, SIM_CHUNK_STEPS):
+        T = min(SIM_CHUNK_STEPS, horizon - k0)
+        z, w = np.empty((T, 1, n, 1)), np.empty((T, n, 1))
+        for i, ag in enumerate(agents):
+            z[:, 0, S[i], 0] = privacy[i].standard_normal_rows(T, ag.n)
+            z_w = process[i].standard_normal_rows(T, ag.n)
+            w[:, S[i]] = np.matmul(factors[i], z_w[:, :, None])
+        v = scale * z
+        # row T of xs receives the state the next chunk starts from
+        xs = np.empty((T + 1, n_runs, n, 1))
+        xs[0] = x
+        x_hats, y_bars = np.empty((T, n_runs, n, 1)), np.empty((T, n_runs, n, 1))
+        us = np.empty((T, n_runs, m, 1))
+        views = [(A_g, B_g, C_g,
+                  xs[:, :, s].reshape(T + 1, n_runs, G, n_g, 1),
+                  y_bars[:, :, s].reshape(T, n_runs, G, n_g, 1),
+                  us[:, :, t].reshape(T, n_runs, G, m_g, 1))
+                 for s, t, G, n_g, m_g, A_g, B_g, C_g in runs]
+        for k in range(T):
+            for _, _, C_g, x_g, y_g, _ in views:
+                np.matmul(C_g, x_g[k], out=y_g[k])
+            y_bar = y_bars[k]
+            y_bar += v[k]
+            if k0 + k:
+                x_hat = filter_step(A, B, C, gains, x_hat, u, y_bar)
+            x_hats[k] = x_hat
+            u = us[k]
+            np.matmul(L, x_hat, out=u)
+            for A_g, B_g, _, x_g, _, u_g in views:
+                np.add(A_g @ x_g[k], B_g @ u_g[k], out=x_g[k + 1])
+            xs[k + 1] += w[k]
+        x = xs[T]
+        xs, us = xs[:T, :, :, 0], us[:, :, :, 0]
+        stage = incremental_cost(xs, us, model.Q, model.R)
+        sums = stage.copy()
+        if total is not None:
+            sums[0] += total
+        sums = np.cumsum(sums, axis=0)
+        total = sums[-1]
+        yield _Chunk(slice(k0, k0 + T), xs, x_hats[:, :, :, 0], us,
+                     y_bars[:, :, :, 0], stage,
+                     sums / np.arange(k0 + 1, k0 + T + 1)[:, None])
 
 
 def run_simulation(model, agents, horizon, seed, synthesis=None):
@@ -326,76 +454,26 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
 
     Returns a SimulationTrace. Identical (model, agents, horizon, seed)
     produce bit-identical traces. synthesis may be passed to reuse a
-    precomputed SynthesisResult; by default it is computed here.
-
-    Each agent's process and privacy streams are drawn once for the whole
-    horizon (GaussianStream.standard_normal_rows), and the noise is formed
-    before the loop: v_i(k) = sigma_i z_k and w_i(k) = F_i z_k, the latter
-    as a stacked matmul of F_i over the rows. Agents of equal (n_i, m_i) step
-    together: one stacked C_g x_g and one A_g x_g + B_g u_g per group, then
-    y += v(k) and x+ += w(k). Stage costs and their running means are
-    computed after the loop from the recorded rows.
+    precomputed SynthesisResult; by default it is computed here. The run
+    is a lockstep batch of one (_lockstep), whose chunks are copied into
+    the trace's arrays. Agents whose number or (n_i, m_i) differ from the
+    model's raise ValueError.
     """
-    agents = list(agents)
-    if len(agents) != model.n_agents:
-        raise ValueError(
-            f"model was assembled for {model.n_agents} agents, got {len(agents)}"
-        )
     horizon = int(horizon)
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    agents = _check_agents(model, agents, horizon)
     if synthesis is None:
         synthesis = synthesize(model)
     n, m = model.n, model.m
-    s_slices = model.state_slices
-    A, B, C = model.A, model.B, model.C
-    gain = synthesis.kalman_gain
-    L = synthesis.L
-
-    v, w = np.empty((horizon, n)), np.empty((horizon, n))
-    for i, ag in enumerate(agents):
-        s = s_slices[i]
-        v[:, s] = model.sigmas[i] * derive_stream(
-            seed, i, PRIVACY_NOISE).standard_normal_rows(horizon, ag.n)
-        z = derive_stream(seed, i, PROCESS_NOISE).standard_normal_rows(horizon, ag.n)
-        w[:, s] = _stacked(psd_factor(ag.W), z)
-    groups = _agent_groups(agents, model)
-
-    x_hat0 = np.concatenate([ag.x0_mean for ag in agents])
-    xs, x_hats, y_bars = (np.empty((horizon, n)) for _ in range(3))
-    us = np.empty((horizon, m))
-    x = xs[0] if horizon else np.empty(n)
-    for i, ag in enumerate(agents):
-        if ag.x0_true is not None:
-            x[s_slices[i]] = ag.x0_true
-        elif ag.x0_cov is not None:
-            init = derive_stream(seed, i, INIT_STATE)
-            x[s_slices[i]] = ag.x0_mean + init.correlated(psd_factor(ag.x0_cov))
-        else:
-            x[s_slices[i]] = ag.x0_mean
-
-    x_hat = x_hat0
-    for k in range(horizon):
-        x, y_bar = xs[k], y_bars[k]
-        for s, _, _, _, C_g in groups:
-            y_bar[s] = _stacked(C_g, x[s])
-        y_bar += v[k]
-        if k > 0:
-            x_hat = filter_step(A, B, C, gain, x_hat, us[k - 1], y_bar)
-        x_hats[k] = x_hat
-        u = us[k] = L @ x_hat
-        if k + 1 < horizon:
-            x_next = xs[k + 1]
-            for s, t, A_g, B_g, _ in groups:
-                x_next[s] = _stacked(A_g, x[s]) + _stacked(B_g, u[t])
-            x_next += w[k]
-
-    del v, w  # the noise is spent; free it before the cost's temporaries
-    stage = incremental_cost(xs, us, model.Q, model.R)
+    rows = {"x": np.empty((horizon, n)), "x_hat": np.empty((horizon, n)),
+            "u": np.empty((horizon, m)), "y_bar": np.empty((horizon, n)),
+            "stage_cost": np.empty(horizon), "avg_cost": np.empty(horizon)}
+    for chunk in _lockstep(model, agents, horizon, seed, synthesis.L,
+                           [model.sigmas], [synthesis.kalman_gain]):
+        for name, out in rows.items():
+            out[chunk.steps] = getattr(chunk, name)[:, 0]
     return SimulationTrace(
-        x=xs, x_hat=x_hats, u=us, y_bar=y_bars,
-        stage_cost=stage, avg_cost=np.cumsum(stage) / np.arange(1, horizon + 1),
-        x_hat0=x_hat0, state_dims=model.state_dims, input_dims=model.input_dims,
+        **rows, x_hat0=np.concatenate([ag.x0_mean for ag in agents]),
+        state_dims=model.state_dims, input_dims=model.input_dims,
     )
 
 

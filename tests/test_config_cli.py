@@ -16,9 +16,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import math
+from dataclasses import replace
+
 import dplqg.bounds as bounds
 import dplqg.lqg as lqg
+import dplqg.network as network
 import dplqg.riccati as riccati
+from dplqg.bounds import entropy_bound_report, logdet
 from dplqg.cli import DEFAULT_SWEEP_GRID, main, sweep_epsilon
 from dplqg.config import (
     ExperimentConfig,
@@ -33,6 +38,8 @@ from dplqg.config import (
 )
 from dplqg.errors import ConfigError
 from dplqg.lqg import synthesize
+from dplqg.network import SIM_CHUNK_STEPS, assemble_network, run_simulation
+from dplqg.rng import PRIVACY_NOISE, PROCESS_NOISE
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -309,6 +316,65 @@ def test_sweep_solves_control_once_and_filter_once_per_epsilon(monkeypatch):
     sweep_epsilon(cfg, DEFAULT_SWEEP_GRID, n_seeds=1, steps=1)
     assert calls == {"solve_dare_control": 1,
                      "solve_dare_filter": len(DEFAULT_SWEEP_GRID)}
+
+
+def _reference_sweep(cfg, grid, n_seeds, steps):
+    """The sweep as one run_simulation per (epsilon, seed), kept as the
+    oracle for sweep_epsilon's rows."""
+    Q, R = resolve_costs(cfg, seed=cfg.seed)
+    rows = []
+    control = None
+    for eps in grid:
+        agents = [replace(ag, privacy=replace(ag.privacy, epsilon=eps))
+                  for ag in cfg.agents]
+        model = assemble_network(agents, Q, R)
+        syn = synthesize(model, control)
+        control = syn.control
+        report = entropy_bound_report(model.A, model.W, model.C, model.V,
+                                      Sigma=syn.Sigma)
+        costs = [run_simulation(model, agents, steps, cfg.seed + j,
+                                synthesis=syn).avg_cost[-1]
+                 for j in range(n_seeds)]
+        rows.append({
+            "epsilon": eps,
+            "sigma": model.sigmas[0],
+            "mean_cost": float(np.mean(costs)),
+            "logdet_cov": logdet(syn.Sigma),
+            "entropy_bound": (
+                report.entropy_bound if report.condition_holds else math.nan
+            ),
+            "condition_margin": report.condition_margin,
+        })
+    return rows
+
+
+def test_sweep_rows_match_one_run_per_epsilon_and_seed():
+    # One lockstep batch per seed must give every row the bits of the
+    # per-(epsilon, seed) runs, across a chunk boundary.
+    cfg = load(CONFIG_DIR / "sweep_4agent.json")
+    grid, steps = [0.05, 0.5, 5.0], SIM_CHUNK_STEPS + 1
+    rows = sweep_epsilon(cfg, grid, n_seeds=3, steps=steps)
+    expected = _reference_sweep(cfg, grid, 3, steps)
+    assert [list(row) for row in rows] == [list(row) for row in expected]
+    assert ([[repr(v) for v in row.values()] for row in rows]
+            == [[repr(v) for v in row.values()] for row in expected])
+
+
+def test_sweep_draws_each_seeds_noise_once(monkeypatch):
+    # A seed's noise does not depend on epsilon, so the sweep opens each
+    # agent's process and privacy streams once per seed, not once per run.
+    kinds = []
+
+    def counted(seed, entity, kind):
+        kinds.append(kind)
+        return derive_stream(seed, entity, kind)
+
+    derive_stream = network.derive_stream
+    monkeypatch.setattr(network, "derive_stream", counted)
+    cfg = load(CONFIG_DIR / "sweep_4agent.json")
+    sweep_epsilon(cfg, DEFAULT_SWEEP_GRID, n_seeds=2, steps=1)
+    N = len(cfg.agents)
+    assert kinds.count(PROCESS_NOISE) == kinds.count(PRIVACY_NOISE) == 2 * N
 
 
 def test_sweep_epsilon_rejects_bad_grid():

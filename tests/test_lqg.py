@@ -138,6 +138,13 @@ def test_incremental_cost_quadratic_form():
     assert stacked.tolist() == [float(a @ Q @ a + b @ R @ b) for a, b in rows]
     assert stacked.tolist() == [incremental_cost(a, b, Q, R) for a, b in zip(X, U)]
     assert incremental_cost(np.zeros((0, 2)), np.zeros((0, 1)), Q, R).shape == (0,)
+    # so does a (steps, runs) stack of rows, also one whose runs are strided
+    batch = incremental_cost(X.reshape(10, 5, 2), U.reshape(10, 5, 1), Q, R)
+    assert batch.shape == (10, 5)
+    assert batch.ravel().tolist() == stacked.tolist()
+    runs = incremental_cost(np.stack((X, X[::-1]), axis=1),
+                            np.stack((U, U[::-1]), axis=1), Q, R)
+    assert runs[:, 1].tolist() == stacked[::-1].tolist()
 
 
 def test_incremental_cost_dimension_checks():

@@ -18,10 +18,12 @@ from dplqg.network import (
     CONTROL,
     MEASUREMENT,
     CSV_BATCH_STEPS,
+    SIM_CHUNK_STEPS,
     AgentModel,
     NetworkModel,
     SimulationTrace,
     WireLog,
+    _lockstep,
     assemble_network,
     eavesdropper_view,
     replay_estimates,
@@ -258,6 +260,15 @@ def test_horizon_zero_and_agent_mismatch():
         run_simulation(model, agents[:1], horizon=5, seed=1)
     with pytest.raises(ValueError):
         run_simulation(model, agents, horizon=-1, seed=1)
+    # an agent of other (n_i, m_i) than the model's is named, not broadcast
+    three_states = AgentModel(
+        A=np.eye(3), B=np.eye(3)[:, -1:], C=np.eye(3), W=np.eye(3),
+        privacy=PrivacySpec(1.0, 0.1), x0_mean=np.zeros(3),
+    )
+    two_inputs = replace(agents[1], B=np.eye(2))
+    for other in (three_states, two_inputs):
+        with pytest.raises(ValueError, match="agent 1 has"):
+            run_simulation(model, [agents[0], other], horizon=5, seed=1)
 
 
 def test_x0_true_and_x0_cov_initialization():
@@ -532,7 +543,7 @@ def _noisy_networks(draw):
 
 
 def _interleaved_network():
-    """State dims (2, 1, 2): agents 0 and 2 form one group, apart in x."""
+    """State dims (2, 1, 2): agents 0 and 2 are alike but apart in x."""
     rng = np.random.default_rng(5)
     agents = []
     for n in (2, 1, 2):
@@ -554,17 +565,55 @@ def _interleaved_network():
 @given(net=_noisy_networks(), horizon=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
 @example(net=_interleaved_network(), horizon=25, seed=9)
 def test_whole_horizon_draws_match_per_step_oracle(net, horizon, seed):
-    # Drawing each stream once per run and stepping each group of like
-    # agents as one stacked product must not move a single bit of the
-    # trace: odd agent dimensions (a discarded Box-Muller half), groups
-    # apart in the state vector, a dense C and a Q and R that couple the
-    # agents included.
+    # Drawing each stream in chunks and stepping each run of consecutive
+    # like agents as one stacked product must not move a single bit of the
+    # trace: odd agent dimensions (a discarded Box-Muller half), like
+    # agents apart in the state vector, a dense C and a Q and R that couple
+    # the agents included.
     model, agents = net
     syn = synthesize(model)
     trace = run_simulation(model, agents, horizon, seed, synthesis=syn)
     expected = _reference_simulation(model, agents, horizon, seed, syn)
     for name, value in expected.items():
         assert np.array_equal(getattr(trace, name), value), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(net=_noisy_networks(),
+       epsilons=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=4),
+       horizon=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(net=_interleaved_network(), epsilons=[0.3, 2.5], horizon=25, seed=9)
+@example(net=_interleaved_network(), epsilons=[0.5, 0.2, 3.0, 1.0],
+         horizon=SIM_CHUNK_STEPS - 1, seed=4)
+@example(net=_interleaved_network(), epsilons=[2.0, 0.7, 0.3],
+         horizon=SIM_CHUNK_STEPS, seed=5)
+@example(net=_interleaved_network(), epsilons=[0.4, 1.5],
+         horizon=SIM_CHUNK_STEPS + 1, seed=6)
+@example(net=_interleaved_network(), epsilons=[1.1, 0.25],
+         horizon=2 * SIM_CHUNK_STEPS + 9, seed=7)
+def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed):
+    # A batch of runs that share one seed, each at its own epsilon and so
+    # with its own sigma and Kalman gain, must give every run the bits of
+    # that run alone, across chunk boundaries too.
+    model, agents = net
+    control = synthesize(model).control
+    members = []
+    for eps in epsilons:
+        run_agents = [replace(ag, privacy=replace(ag.privacy, epsilon=eps))
+                      for ag in agents]
+        run_model = assemble_network(run_agents, model.Q, model.R)
+        members.append((run_model, run_agents, synthesize(run_model, control)))
+    chunks = list(_lockstep(model, agents, horizon, seed, control.L,
+                            [m.sigmas for m, _, _ in members],
+                            [syn.kalman_gain for _, _, syn in members]))
+    assert [c.steps.start for c in chunks] == list(range(0, horizon, SIM_CHUNK_STEPS))
+    for j, (run_model, run_agents, syn) in enumerate(members):
+        expected = _reference_simulation(run_model, run_agents, horizon, seed, syn)
+        for name, value in expected.items():
+            if name != "x_hat0":
+                rows = [getattr(c, name)[:, j] for c in chunks]
+                got = np.concatenate(rows) if rows else value[:0]
+                assert np.array_equal(got, value), (j, name)
 
 
 def test_wire_never_carries_true_state_values():

@@ -74,6 +74,11 @@ def test_row_draws_equal_successive_calls(rows, width):
     rest = GaussianStream(17)
     rest.standard_normal_rows(rows, width)
     assert np.array_equal(rest.standard_normal(5), stream.standard_normal(5))
+    # two row draws of a and b rows equal one draw of a + b rows
+    split = GaussianStream(17)
+    head = split.standard_normal_rows(rows // 2, width)
+    tail = split.standard_normal_rows(rows - rows // 2, width)
+    assert np.array_equal(np.vstack((head, tail)), block)
 
 
 def test_row_draw_edge_cases():
