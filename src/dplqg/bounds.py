@@ -147,9 +147,14 @@ def homogeneous_entropy_estimate(A, process_var, sigma):
     A = np.asarray(A, dtype=float)
     process_var = check_positive(process_var, "process_var")
     sigma = check_positive(sigma, "sigma")
-    s = np.linalg.svd(A, compute_uv=False)
+    return _homogeneous_estimate(np.linalg.svd(A, compute_uv=False), A.shape[0],
+                                 process_var, sigma)
+
+
+def _homogeneous_estimate(s, n, process_var, sigma):
+    """homogeneous_entropy_estimate from the singular values s of the n-row A."""
     lead = 1.0 / (s[-1] ** 2 / (sigma * sigma + process_var) + 1.0 / (sigma * sigma))
-    return float(lead * np.sum(s * s) + A.shape[0] * process_var)
+    return float(lead * np.sum(s * s) + n * process_var)
 
 
 @dataclass(frozen=True)
@@ -249,8 +254,8 @@ def entropy_bound_report(A, W, C, V, Sigma=None):
     coef = float(lam[-1]) / (1.0 + privacy_term - s[0] ** 2)
     homogeneous = None
     if _is_homogeneous(W, C, V):
-        homogeneous = homogeneous_entropy_estimate(
-            A, float(np.diag(W)[0]), math.sqrt(float(np.diag(V)[0]))
+        homogeneous = _homogeneous_estimate(
+            s, n, float(np.diag(W)[0]), math.sqrt(float(np.diag(V)[0]))
         )
     if Sigma is None:
         Sigma = solve_dare_filter(A, C, W, V).Sigma

@@ -39,7 +39,9 @@ from .network import (
     write_messages_csv,
     write_trace_csv,
 )
-from .riccati import dare_residual_control, dare_residual_filter
+from .privacy import calibrate_sigma
+from .riccati import (dare_residual_control, dare_residual_filter, solve_dare_control,
+                      solve_dare_filter)
 
 DEFAULT_SWEEP_GRID = (0.1, 0.3, 0.7, 1.2, 2.0, 3.0)
 DEFAULT_SWEEP_SEEDS = 10
@@ -116,12 +118,14 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     """Rerun the pipeline across privacy levels; returns one row per epsilon.
 
     Every agent's epsilon is replaced by the grid value (deltas and
-    adjacency bounds keep their configured values). The cost matrices are
-    resolved once, the noise streams do not depend on epsilon, and seeds
-    run from the master seed upward, so rows are directly comparable. The
-    feedback gain does not depend on epsilon either (separation), so the
-    control Riccati equation is solved once for the whole grid, and each
-    epsilon's filter solve also serves its entropy report. Each seed runs
+    adjacency bounds keep their configured values). Privacy enters the
+    model only through the noise scales sigma_i, and the feedback gain
+    does not depend on epsilon (separation), so the network is assembled
+    and the control Riccati equation solved once; each epsilon re-noises
+    the network, replace(model, sigmas=...), and its one filter solve
+    also serves its entropy report. The cost matrices are resolved once,
+    the noise streams do not depend on epsilon, and seeds run from the
+    master seed upward, so rows are directly comparable. Each seed runs
     the whole grid as one lockstep batch (dplqg.network._lockstep), which
     draws the seed's noise once, and keeps of each run only its final
     average cost; mean_cost is the mean of those over the seeds, with the
@@ -140,26 +144,22 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
         raise ConfigError("sweep needs at least one simulation step")
     base_seed = cfg.seed if seed is None else int(seed)
     Q, R = resolve_costs(cfg, seed=base_seed)
+    base = assemble_network(cfg.agents, Q, R)
+    control = solve_dare_control(base.A, base.B, base.Q, base.R)
     members = []
-    control = None
     for eps in grid:
-        agents = [
-            replace(ag, privacy=replace(ag.privacy, epsilon=eps))
-            for ag in cfg.agents
-        ]
-        model = assemble_network(agents, Q, R)
-        syn = synthesize(model, control)
-        control = syn.control
+        model = replace(base, sigmas=tuple(
+            calibrate_sigma(replace(ag.privacy, epsilon=eps), ag.C).sigma
+            for ag in cfg.agents))
+        filt = solve_dare_filter(model.A, model.C, model.W, model.V)
         report = entropy_bound_report(model.A, model.W, model.C, model.V,
-                                      Sigma=syn.Sigma)
-        members.append((eps, model, syn, report))
+                                      Sigma=filt.Sigma)
+        members.append((eps, model, filt, report))
     sigmas = [model.sigmas for _, model, _, _ in members]
-    gains = [syn.kalman_gain for _, _, syn, _ in members]
-    # the runs differ only in sigma and the Kalman gain, so the last
-    # epsilon's model and agents serve the whole batch
+    gains = [filt.kalman_gain for _, _, filt, _ in members]
     costs = np.empty((len(grid), n_seeds))
     for j in range(n_seeds):
-        for chunk in _lockstep(model, agents, horizon, base_seed + j,
+        for chunk in _lockstep(base, cfg.agents, horizon, base_seed + j,
                                control.L, sigmas, gains):
             pass  # only the last chunk's average costs are kept
         costs[:, j] = chunk.avg_cost[-1]
@@ -168,13 +168,13 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
             "epsilon": eps,
             "sigma": model.sigmas[0],
             "mean_cost": float(np.mean(cost)),
-            "logdet_cov": logdet(syn.Sigma),
+            "logdet_cov": logdet(filt.Sigma),
             "entropy_bound": (
                 report.entropy_bound if report.condition_holds else math.nan
             ),
             "condition_margin": report.condition_margin,
         }
-        for (eps, model, syn, report), cost in zip(members, costs)
+        for (eps, model, filt, report), cost in zip(members, costs)
     ]
 
 

@@ -28,15 +28,16 @@ config's master seed when the recipe seed is omitted). Off-diagonal
 couplings are then almost surely nonzero, which is the point: the cloud's
 cost couples agents even though their dynamics are decoupled.
 
-Parsing is strict: unknown keys, wrong shapes, or invalid privacy
-parameters raise ConfigError. parse -> serialize -> parse is the identity.
+Parsing is strict: unknown keys, wrong shapes, invalid privacy
+parameters, or a horizon or seed that is not a JSON integer >= 0 raise
+ConfigError. parse -> serialize -> parse is the identity.
 """
 
 import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .network import AgentModel, assemble_network
 from .privacy import PrivacySpec
 from .rng import COST_MATRIX, GaussianStream
@@ -75,13 +76,11 @@ class ExperimentConfig:
         self.agents = list(agents)
         self.cost_q = cost_q
         self.cost_r = cost_r
-        self.horizon = int(horizon)
-        self.seed = int(seed)
+        self.horizon = check_count(horizon, "horizon", ConfigError)
+        self.seed = check_count(seed, "seed", ConfigError)
         self.out = out
         if not self.agents:
             raise ConfigError("at least one agent is required")
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be >= 0, got {self.horizon}")
 
     @property
     def n(self):
@@ -145,7 +144,10 @@ def _cost_entry(value, where):
         recipe = value["random_pd"]
         if not isinstance(recipe, dict) or set(recipe) - {"seed"}:
             raise ConfigError(f"{where}.random_pd: only a 'seed' key is allowed")
-        return RandomPdRecipe(seed=recipe.get("seed"))
+        seed = recipe.get("seed")
+        if seed is not None:
+            check_count(seed, f"{where}.random_pd.seed", ConfigError)
+        return RandomPdRecipe(seed=seed)
     return _matrix(value, where)
 
 
@@ -167,17 +169,12 @@ def from_dict(raw):
         raise ConfigError("'cost' must be an object with exactly keys Q and R")
     cost_q = _cost_entry(cost["Q"], "cost.Q")
     cost_r = _cost_entry(cost["R"], "cost.R")
-    try:
-        horizon = int(raw["horizon"])
-        seed = int(raw["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError("'horizon' and 'seed' must be integers") from None
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("'out' must be a string path")
     return ExperimentConfig(
         agents=agents, cost_q=cost_q, cost_r=cost_r,
-        horizon=horizon, seed=seed, out=out,
+        horizon=raw["horizon"], seed=raw["seed"], out=out,
     )
 
 
@@ -247,7 +244,7 @@ def resolve_costs(cfg, seed=None):
     seed overrides the default seed that unseeded random_pd recipes fall
     back to (the config's master seed).
     """
-    default = cfg.seed if seed is None else int(seed)
+    default = cfg.seed if seed is None else check_count(seed, "seed", ConfigError)
     n, m = cfg.n, cfg.m
     if isinstance(cfg.cost_q, RandomPdRecipe):
         Q = cfg.cost_q.resolve(n, default, 0)

@@ -2,9 +2,10 @@
 
 The CLI maps each exception type onto a dedicated exit code, so synthesis
 and simulation code should raise the most specific type that applies rather
-than a bare ValueError. The check_* functions write the four shared input
+than a bare ValueError. The check_* functions write the five shared input
 rules once: finite arrays, square matrices, symmetry within
-1e-10 * max(1, max |M_ij|), and finite positive (or >= 0) scalars.
+1e-10 * max(1, max |M_ij|), finite positive (or >= 0) scalars, and
+integers >= 0 such as seeds and horizons.
 """
 
 import numpy as np
@@ -77,3 +78,14 @@ def check_positive(value, name, allow_zero=False):
         bound = ">= 0" if allow_zero else "positive"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return value
+
+
+def check_count(value, name, error=ValueError):
+    """int(value); `error` naming it unless value is an integer >= 0.
+
+    Only integers pass: a bool, a float such as 2.7 or 2.0 and a string
+    such as "12" are rejected, not converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise error(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)

@@ -51,22 +51,14 @@ class SynthesisResult:
         )
 
 
-def synthesize(model, control=None):
+def synthesize(model):
     """Solve both Riccati equations for a NetworkModel.
 
     The regulator solve sees only (A, B, Q, R) and the filter solve only
     (A, C, W, V); the privacy level therefore affects the estimator but not
-    the feedback gain. control may be a ControlSynthesis already solved
-    for the same (A, B, Q, R), such as the .control of a synthesis of the
-    same network at another privacy level; the regulator solve is then
-    skipped and its K and L are used as given. Only their shapes are
-    checked, so a control from other model data gives a wrong result.
+    the feedback gain.
     """
-    if control is None:
-        control = solve_dare_control(model.A, model.B, model.Q, model.R)
-    elif control.L.shape != (model.m, model.n):
-        raise ValueError(f"control gain L must be {model.m} x {model.n}, "
-                         f"got shape {control.L.shape}")
+    control = solve_dare_control(model.A, model.B, model.Q, model.R)
     filt = solve_dare_filter(model.A, model.C, model.W, model.V)
     return SynthesisResult(
         K=control.K,

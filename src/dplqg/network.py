@@ -44,7 +44,7 @@ batch keeps every run's bits, for three reasons:
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -123,18 +123,28 @@ class AgentModel:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Block-diagonal aggregate of all agents plus the cloud's cost weights."""
+    """Block-diagonal aggregate of all agents plus the cloud's cost weights.
+
+    V is not an argument: it is derived from the agents' noise scales as
+    blockdiag(sigma_i^2 I_{n_i}), so it always agrees with sigmas. Privacy
+    enters the model only through sigmas, and replace(model, sigmas=...)
+    is the same network at other privacy levels.
+    """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     W: np.ndarray
-    V: np.ndarray
+    V: np.ndarray = field(init=False)
     Q: np.ndarray
     R: np.ndarray
     state_dims: tuple
     input_dims: tuple
     sigmas: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "V", block_diag(
+            *[s * s * np.eye(n) for s, n in zip(self.sigmas, self.state_dims)]))
 
     @property
     def n(self):
@@ -161,11 +171,11 @@ def assemble_network(agents, Q, R):
     """Stack agent models into a NetworkModel and validate the assumptions.
 
     Calibrates each agent's noise scale from its PrivacySpec and output map,
-    forms the block-diagonal (A, B, C, W) and V = blockdiag(sigma_i^2 I),
-    and checks both Riccati problems' preconditions
-    (dplqg.riccati.check_preconditions): Q, R, W, V symmetric positive
-    definite, (A, B) controllable, (A, C) observable. Violations raise
-    AssumptionError naming the failing condition.
+    forms the block-diagonal (A, B, C, W), from which the model derives
+    V = blockdiag(sigma_i^2 I), and checks both Riccati problems'
+    preconditions (dplqg.riccati.check_preconditions): Q, R, W, V
+    symmetric positive definite, (A, B) controllable, (A, C) observable.
+    Violations raise AssumptionError naming the failing condition.
     """
     agents = list(agents)
     if not agents:
@@ -174,18 +184,16 @@ def assemble_network(agents, Q, R):
     B = block_diag(*[ag.B for ag in agents])
     C = block_diag(*[ag.C for ag in agents])
     W = block_diag(*[ag.W for ag in agents])
-    sigmas = tuple(
-        calibrate_sigma(ag.privacy, ag.C).sigma for ag in agents
-    )
-    V = block_diag(*[s * s * np.eye(ag.n) for s, ag in zip(sigmas, agents)])
+    sigmas = tuple(calibrate_sigma(ag.privacy, ag.C).sigma for ag in agents)
     Q, R = check_preconditions(A, B, Q, R)
-    check_preconditions(A.T, C.T, W, V, dual=True)
-    return NetworkModel(
-        A=A, B=B, C=C, W=W, V=V, Q=Q, R=R,
+    model = NetworkModel(
+        A=A, B=B, C=C, W=W, Q=Q, R=R,
         state_dims=tuple(ag.n for ag in agents),
         input_dims=tuple(ag.m for ag in agents),
         sigmas=sigmas,
     )
+    check_preconditions(A.T, C.T, W, model.V, dual=True)
+    return model
 
 
 @dataclass(frozen=True, eq=False)

@@ -310,6 +310,26 @@ def test_homogeneous_estimate_validation():
         homogeneous_entropy_estimate(ONE, 1.0, math.inf)
 
 
+def test_homogeneous_report_takes_one_svd(monkeypatch):
+    # The report reads the estimate from the bound terms' singular values
+    # instead of decomposing A again.
+    A = np.array([[0.5, 0.2, 0.0], [0.1, 0.3, 0.1], [0.0, 0.2, 0.4]])
+    W, C, V = 0.7 * np.eye(3), np.eye(3), 2.5 * np.eye(3)
+    Sigma = solve_dare_filter(A, C, W, V).Sigma
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rep = entropy_bound_report(A, W, C, V, Sigma=Sigma)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rep.condition_holds
+    assert rep.homogeneous_estimate == homogeneous_entropy_estimate(A, 0.7, math.sqrt(2.5))
+
+
 def test_report_omits_homogeneous_field_when_agents_differ():
     A = np.diag([0.5, 0.4])
     W = np.diag([1.0, 2.0])  # not isotropic

@@ -20,6 +20,7 @@ import math
 from dataclasses import replace
 
 import dplqg.bounds as bounds
+import dplqg.cli as cli
 import dplqg.lqg as lqg
 import dplqg.network as network
 import dplqg.riccati as riccati
@@ -153,6 +154,15 @@ def test_bad_matrix_and_bad_json():
         from_dict(_config_dict(horizon="soon"))
     with pytest.raises(ConfigError):
         from_dict(_config_dict(horizon=-3))
+    # horizon and seed are JSON integers >= 0: nothing is converted or rounded
+    for key in ("horizon", "seed"):
+        for bad in ("12", 2.7, 2.0, True, -1, None, [3]):
+            with pytest.raises(ConfigError, match=f"{key} must be an integer >= 0"):
+                from_dict(_config_dict(**{key: bad}))
+    cfg = from_dict(_config_dict(horizon=0, seed=0))
+    assert (cfg.horizon, cfg.seed) == (0, 0)
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
+        resolve_costs(cfg, seed=-1)
 
 
 def test_cost_entry_validation():
@@ -165,6 +175,14 @@ def test_cost_entry_validation():
     raw = _config_dict(cost={"Q": {"other": {}}, "R": [[1.0]]})
     with pytest.raises(ConfigError, match="random_pd"):
         from_dict(raw)
+    for bad in ("abc", "7", 1.5, 1.0, False, -1):
+        raw = _config_dict(cost={"Q": [[1.0, 0.0], [0.0, 1.0]],
+                                 "R": {"random_pd": {"seed": bad}}})
+        with pytest.raises(ConfigError,
+                           match=r"cost\.R\.random_pd\.seed must be an integer >= 0"):
+            from_dict(raw)
+    raw = _config_dict(cost={"Q": {"random_pd": {"seed": 0}}, "R": [[1.0]]})
+    assert from_dict(raw).cost_q == RandomPdRecipe(0)
 
 
 # ----------------------------------------------------------------------
@@ -297,24 +315,29 @@ def test_sweep_epsilon_rows_reuse_common_randomness():
 
 
 def test_sweep_solves_control_once_and_filter_once_per_epsilon(monkeypatch):
-    # The feedback gain does not depend on epsilon (separation), and each
-    # epsilon's filter solve also serves its entropy report.
-    calls = {"solve_dare_control": 0, "solve_dare_filter": 0}
+    # Privacy enters only through sigma, so the sweep assembles the network
+    # once; the feedback gain does not depend on epsilon (separation), and
+    # each epsilon's filter solve also serves its entropy report.
+    calls = {"assemble_network": 0, "solve_dare_control": 0,
+             "solve_dare_filter": 0}
 
-    def counted(name):
-        solve = getattr(riccati, name)
-
+    def counted(name, call):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return solve(*args, **kwargs)
+            return call(*args, **kwargs)
         return wrapper
 
-    for module, name in ((lqg, "solve_dare_control"), (lqg, "solve_dare_filter"),
-                         (bounds, "solve_dare_filter")):
-        monkeypatch.setattr(module, name, counted(name))
+    for module, name, call in (
+            (cli, "assemble_network", network.assemble_network),
+            (cli, "solve_dare_control", riccati.solve_dare_control),
+            (cli, "solve_dare_filter", riccati.solve_dare_filter),
+            (lqg, "solve_dare_control", riccati.solve_dare_control),
+            (lqg, "solve_dare_filter", riccati.solve_dare_filter),
+            (bounds, "solve_dare_filter", riccati.solve_dare_filter)):
+        monkeypatch.setattr(module, name, counted(name, call))
     cfg = load(CONFIG_DIR / "sweep_4agent.json")
     sweep_epsilon(cfg, DEFAULT_SWEEP_GRID, n_seeds=1, steps=1)
-    assert calls == {"solve_dare_control": 1,
+    assert calls == {"assemble_network": 1, "solve_dare_control": 1,
                      "solve_dare_filter": len(DEFAULT_SWEEP_GRID)}
 
 
@@ -323,13 +346,11 @@ def _reference_sweep(cfg, grid, n_seeds, steps):
     oracle for sweep_epsilon's rows."""
     Q, R = resolve_costs(cfg, seed=cfg.seed)
     rows = []
-    control = None
     for eps in grid:
         agents = [replace(ag, privacy=replace(ag.privacy, epsilon=eps))
                   for ag in cfg.agents]
         model = assemble_network(agents, Q, R)
-        syn = synthesize(model, control)
-        control = syn.control
+        syn = synthesize(model)
         report = entropy_bound_report(model.A, model.W, model.C, model.V,
                                       Sigma=syn.Sigma)
         costs = [run_simulation(model, agents, steps, cfg.seed + j,
@@ -439,7 +460,7 @@ def test_cli_module_bound_in_subprocess(tmp_path):
     assert (out / "bound_report.txt").read_bytes() == CASE_STUDY_BOUND_REPORT
 
 
-def test_cli_exit_code_invalid_config(tmp_path):
+def test_cli_exit_code_invalid_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{broken")
     assert main(["synthesize", "--config", str(path)]) == 2
@@ -453,6 +474,12 @@ def test_cli_exit_code_invalid_config(tmp_path):
     cfg_path = _write_config(tmp_path, _config_dict())
     assert main(["sweep-epsilon", "--config", cfg_path, "--grid", "a,b",
                  "--out", str(tmp_path / "x")]) == 2
+
+    for verb in ("synthesize", "simulate", "sweep-epsilon"):
+        capsys.readouterr()
+        assert main([verb, "--config", cfg_path, "--seed", "-1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["x0_mean", "A"])

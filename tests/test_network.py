@@ -32,6 +32,7 @@ from dplqg.network import (
     write_trace_csv,
 )
 from dplqg.privacy import PrivacySpec, calibrate_sigma
+from dplqg.riccati import solve_dare_filter
 from dplqg.rng import (
     INIT_STATE,
     PRIVACY_NOISE,
@@ -148,6 +149,21 @@ def test_assemble_network_privacy_noise_block():
     assert_allclose(model.V, np.diag([s0 ** 2, s0 ** 2, s1 ** 2, s1 ** 2]))
     # the tighter privacy requirement gets much more noise
     assert s0 > 20.0 * s1
+    # V is derived from sigmas, so the model re-noised at other epsilons
+    # is, bit for bit, the network assembled at them
+    agents = [replace(ag, privacy=replace(ag.privacy, epsilon=eps))
+              for ag, eps in zip(agents, (0.7, 2.5))]
+    assembled = assemble_network(agents, model.Q, model.R)
+    renoised = replace(model, sigmas=tuple(
+        calibrate_sigma(ag.privacy, ag.C).sigma for ag in agents))
+    assert renoised.sigmas == assembled.sigmas != model.sigmas
+    assert np.array_equal(renoised.V, assembled.V)
+    expected = solve_dare_filter(assembled.A, assembled.C, assembled.W, assembled.V)
+    got = solve_dare_filter(renoised.A, renoised.C, renoised.W, renoised.V)
+    for name in ("Sigma", "SigmaBar", "kalman_gain"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    with pytest.raises(ValueError):
+        replace(model, V=np.eye(4))
 
 
 def test_assemble_network_rejects_bad_inputs():
@@ -596,14 +612,13 @@ def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed):
     # with its own sigma and Kalman gain, must give every run the bits of
     # that run alone, across chunk boundaries too.
     model, agents = net
-    control = synthesize(model).control
     members = []
     for eps in epsilons:
         run_agents = [replace(ag, privacy=replace(ag.privacy, epsilon=eps))
                       for ag in agents]
         run_model = assemble_network(run_agents, model.Q, model.R)
-        members.append((run_model, run_agents, synthesize(run_model, control)))
-    chunks = list(_lockstep(model, agents, horizon, seed, control.L,
+        members.append((run_model, run_agents, synthesize(run_model)))
+    chunks = list(_lockstep(model, agents, horizon, seed, synthesize(model).L,
                             [m.sigmas for m, _, _ in members],
                             [syn.kalman_gain for _, _, syn in members]))
     assert [c.steps.start for c in chunks] == list(range(0, horizon, SIM_CHUNK_STEPS))

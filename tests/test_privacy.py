@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
@@ -308,6 +310,23 @@ def test_audit_scales_with_sensitivity():
     b = verify_dp_inequality(3.0, 6.0, 0.8, 0.05)
     assert a.holds == b.holds
     assert_allclose(a.min_slack, b.min_slack, rtol=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(epsilon=st.floats(0.6, 3.0), delta=st.floats(0.01, 0.3),
+       delta_2=st.floats(0.5, 3.0))
+def test_audit_worst_threshold_is_the_closed_form(epsilon, delta, delta_2):
+    # The worst half-line event of a Gaussian release sits where the two
+    # densities cross, phi(t/sigma) = e^eps phi((t + Delta_2)/sigma), that
+    # is at t* = sigma^2 eps/Delta_2 - Delta_2/2; the grid's argmin must be
+    # within one spacing of it.
+    grid_points = 2001
+    sigma = kappa(delta, epsilon) * delta_2
+    res = verify_dp_inequality(delta_2, sigma, epsilon, delta, grid_points)
+    t_star = sigma * sigma * epsilon / delta_2 - delta_2 / 2.0
+    spacing = 20.0 * sigma / (grid_points - 1)
+    assert abs(res.worst_threshold - t_star) <= spacing
+    assert res.holds
 
 
 def test_audit_zero_sensitivity_always_holds():
