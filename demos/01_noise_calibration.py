@@ -8,11 +8,9 @@ of the resulting privacy inequality.
 import numpy as np
 
 from dplqg import (
-    NoiseScale,
     PrivacySpec,
     calibrate_sigma,
     kappa,
-    privatize_output,
     q_function,
     q_inverse,
     sensitivity_bound,
@@ -43,16 +41,16 @@ C = np.array([[1.0, 0.1], [0.0, 1.0]])
 b = 1.0
 spec = PrivacySpec(epsilon=1.0, delta=0.05, adjacency_bound=b)
 delta2 = sensitivity_bound(C, b)
-scale = calibrate_sigma(spec, C)
+sigma = calibrate_sigma(spec, C)
 print(f"  output map C = {C.tolist()}")
 print(f"  trajectories within l2 distance {b} must stay indistinguishable")
 print(f"  sensitivity  s1(C) * b = {delta2:.6f}")
-print(f"  calibrated   sigma     = {scale.sigma:.6f}")
+print(f"  calibrated   sigma     = {sigma:.6f}")
 
 banner("Auditing the privacy inequality on a threshold grid")
-res = verify_dp_inequality(delta2, scale.sigma, spec.epsilon, spec.delta)
+res = verify_dp_inequality(delta2, sigma, spec.epsilon, spec.delta)
 print(f"  calibrated sigma: holds = {res.holds}, min slack = {res.min_slack:.4e}")
-res_half = verify_dp_inequality(delta2, 0.5 * scale.sigma, spec.epsilon, spec.delta)
+res_half = verify_dp_inequality(delta2, 0.5 * sigma, spec.epsilon, spec.delta)
 print(f"  half the noise:   holds = {res_half.holds}, "
       f"min slack = {res_half.min_slack:.4e}")
 print("  (the audit sweeps half-line events, the binding case for Gaussians)")
@@ -60,7 +58,7 @@ print("  (the audit sweeps half-line events, the binding case for Gaussians)")
 banner("Privatizing one measurement")
 stream = GaussianStream(2024)
 y = np.array([0.8, -0.3])
-y_bar = privatize_output(y, scale, stream)
+y_bar = y + sigma * stream.standard_normal(y.size)
 print(f"  true output      {y}")
 print(f"  published output {np.round(y_bar, 4)}")
 print(f"  same seed, same draw: reruns are bit-identical")

@@ -18,7 +18,7 @@ from .bounds import (
     posterior_variance_diag,
     variance_floor,
 )
-from .config import ExperimentConfig, build_network, load, loads, dumps
+from .config import ExperimentConfig, build_network, load, loads
 from .errors import (
     AssumptionError,
     ConfigError,
@@ -29,7 +29,6 @@ from .lqg import (
     SynthesisResult,
     filter_step,
     incremental_cost,
-    moving_average_cost,
     synthesize,
 )
 from .network import (
@@ -46,12 +45,9 @@ from .network import (
 )
 from .privacy import (
     DpCheckResult,
-    NoiseScale,
     PrivacySpec,
-    adjacency_check,
     calibrate_sigma,
     kappa,
-    privatize_output,
     q_function,
     q_inverse,
     sensitivity_bound,
@@ -84,12 +80,10 @@ __all__ = [
     "GaussianStream",
     "InapplicableBoundError",
     "NetworkModel",
-    "NoiseScale",
     "PrivacySpec",
     "SimulationTrace",
     "SynthesisResult",
     "WireMessage",
-    "adjacency_check",
     "assemble_network",
     "build_network",
     "calibrate_sigma",
@@ -98,7 +92,6 @@ __all__ = [
     "dare_residual_control",
     "dare_residual_filter",
     "derive_stream",
-    "dumps",
     "eavesdropper_view",
     "entropy_bound_report",
     "filter_step",
@@ -110,9 +103,7 @@ __all__ = [
     "load",
     "loads",
     "logdet",
-    "moving_average_cost",
     "posterior_variance_diag",
-    "privatize_output",
     "psd_factor",
     "q_function",
     "q_inverse",

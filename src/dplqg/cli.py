@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import entropy_bound_report, logdet
 from .config import build_network, load, resolve_costs
-from .errors import AssumptionError, ConfigError, ConvergenceError
+from .errors import AssumptionError, ConfigError, ConvergenceError, check_count
 from .lqg import synthesize
 from .network import (
     _cells,
@@ -90,8 +90,8 @@ def cmd_synthesize(cfg, out=None, seed=None):
 
 def cmd_simulate(cfg, out=None, steps=None, seed=None):
     """Run the closed loop and write the trace, the wire log, and a summary."""
-    master_seed = cfg.seed if seed is None else int(seed)
-    horizon = cfg.horizon if steps is None else int(steps)
+    master_seed = cfg.seed if seed is None else seed
+    horizon = cfg.horizon if steps is None else steps
     model, agents = build_network(cfg, seed=master_seed)
     syn = synthesize(model)
     trace = run_simulation(model, agents, horizon, master_seed, synthesis=syn)
@@ -136,20 +136,20 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     grid = [float(e) for e in grid]
     if not grid or any(not e > 0.0 for e in grid):
         raise ConfigError("epsilon grid must be non-empty and positive")
-    n_seeds = int(n_seeds)
+    n_seeds = check_count(n_seeds, "--seeds", ConfigError)
     if n_seeds < 1:
         raise ConfigError("--seeds must be >= 1")
-    horizon = cfg.horizon if steps is None else int(steps)
+    horizon = cfg.horizon if steps is None else check_count(steps, "steps", ConfigError)
     if horizon < 1:
         raise ConfigError("sweep needs at least one simulation step")
-    base_seed = cfg.seed if seed is None else int(seed)
+    base_seed = cfg.seed if seed is None else check_count(seed, "seed", ConfigError)
     Q, R = resolve_costs(cfg, seed=base_seed)
     base = assemble_network(cfg.agents, Q, R)
     control = solve_dare_control(base.A, base.B, base.Q, base.R)
     members = []
     for eps in grid:
         model = replace(base, sigmas=tuple(
-            calibrate_sigma(replace(ag.privacy, epsilon=eps), ag.C).sigma
+            calibrate_sigma(replace(ag.privacy, epsilon=eps), ag.C)
             for ag in cfg.agents))
         filt = solve_dare_filter(model.A, model.C, model.W, model.V)
         report = entropy_bound_report(model.A, model.W, model.C, model.V,

@@ -30,7 +30,7 @@ cost couples agents even though their dynamics are decoupled.
 
 Parsing is strict: unknown keys, wrong shapes, invalid privacy
 parameters, or a horizon or seed that is not a JSON integer >= 0 raise
-ConfigError. parse -> serialize -> parse is the identity.
+ConfigError.
 """
 
 import json
@@ -178,46 +178,6 @@ def from_dict(raw):
     )
 
 
-def to_dict(cfg):
-    """Serialize an ExperimentConfig back to the canonical JSON object."""
-
-    def rows(M):
-        return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
-
-    def cost_entry(value):
-        if isinstance(value, RandomPdRecipe):
-            recipe = {} if value.seed is None else {"seed": value.seed}
-            return {"random_pd": recipe}
-        return rows(value)
-
-    agents = []
-    for ag in cfg.agents:
-        entry = {
-            "A": rows(ag.A),
-            "B": rows(ag.B),
-            "C": rows(ag.C),
-            "W": rows(ag.W),
-            "epsilon": ag.privacy.epsilon,
-            "delta": ag.privacy.delta,
-            "adjacency_bound": ag.privacy.adjacency_bound,
-            "x0_mean": [float(v) for v in ag.x0_mean],
-        }
-        if ag.x0_true is not None:
-            entry["x0_true"] = [float(v) for v in ag.x0_true]
-        if ag.x0_cov is not None:
-            entry["x0_cov"] = rows(ag.x0_cov)
-        agents.append(entry)
-    out = {
-        "agents": agents,
-        "cost": {"Q": cost_entry(cfg.cost_q), "R": cost_entry(cfg.cost_r)},
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-    }
-    if cfg.out is not None:
-        out["out"] = cfg.out
-    return out
-
-
 def loads(text):
     """Parse a JSON config document."""
     try:
@@ -225,11 +185,6 @@ def loads(text):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     return from_dict(raw)
-
-
-def dumps(cfg):
-    """Serialize a config to JSON text (2-space indentation, stable order)."""
-    return json.dumps(to_dict(cfg), indent=2) + "\n"
 
 
 def load(path):

@@ -111,18 +111,3 @@ def _quadratic_form(x, M):
     row = x[..., None, :]
     return np.matmul(np.matmul(row, M), row.swapaxes(-1, -2))[..., 0, 0]
 
-
-def moving_average_cost(stage_costs, k):
-    """Arithmetic mean of the first k stage costs.
-
-    k must be at least 1 and no larger than the number of recorded costs.
-    """
-    costs = np.asarray(stage_costs, dtype=float)
-    if costs.ndim != 1:
-        raise ValueError("stage costs must be a flat sequence")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > costs.size:
-        raise ValueError(f"only {costs.size} stage costs recorded, asked for {k}")
-    return float(costs[:k].mean())

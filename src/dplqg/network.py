@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import check_finite
+from .errors import check_count, check_finite
 from .lqg import filter_step, incremental_cost, synthesize
 from .privacy import PrivacySpec, calibrate_sigma
 from .riccati import _as_pair, _check_symmetric_pd, check_preconditions
@@ -184,7 +184,7 @@ def assemble_network(agents, Q, R):
     B = block_diag(*[ag.B for ag in agents])
     C = block_diag(*[ag.C for ag in agents])
     W = block_diag(*[ag.W for ag in agents])
-    sigmas = tuple(calibrate_sigma(ag.privacy, ag.C).sigma for ag in agents)
+    sigmas = tuple(calibrate_sigma(ag.privacy, ag.C) for ag in agents)
     Q, R = check_preconditions(A, B, Q, R)
     model = NetworkModel(
         A=A, B=B, C=C, W=W, Q=Q, R=R,
@@ -248,8 +248,7 @@ class WireLog(Sequence):
             if r is None:
                 raise ValueError(f"no {msg.kind!r} message goes from {msg.sender!r} "
                                  f"to {msg.receiver!r} among {N} agents and the cloud")
-            if not isinstance(msg.k, (int, np.integer)) or msg.k < 0:
-                raise ValueError(f"step must be a non-negative integer, got {msg.k!r}")
+            check_count(msg.k, "step")
             if np.shape(msg.payload) != (widths[r],):
                 raise ValueError(f"{msg.kind} payload of shape {np.shape(msg.payload)} "
                                  f"at step {msg.k}, expected ({widths[r]},)")
@@ -360,10 +359,11 @@ def _agent_runs(agents, model):
             for r, (n, m) in runs]
 
 
-def _check_agents(model, agents, horizon):
-    """The agents as a list, once they and the horizon are checked: as
-    many agents as the model's, each of the model's (n_i, m_i), and a
-    horizon >= 0. A mismatch raises ValueError naming the agent."""
+def _check_agents(model, agents, horizon, seed):
+    """The agents as a list, once they, the horizon and the seed are
+    checked: as many agents as the model's, each of the model's (n_i, m_i),
+    and a horizon and seed that are integers >= 0 (errors.check_count). A
+    mismatch raises ValueError naming the agent."""
     agents = list(agents)
     if len(agents) != model.n_agents:
         raise ValueError(
@@ -374,8 +374,8 @@ def _check_agents(model, agents, horizon):
         if (ag.n, ag.m) != dims:
             raise ValueError(f"agent {i} has (n, m) = ({ag.n}, {ag.m}), but the "
                              f"model was assembled with ({dims[0]}, {dims[1]})")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_count(horizon, "horizon")
+    check_count(seed, "seed")
     return agents
 
 
@@ -389,7 +389,7 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     the module docstring says why. Chunks come SIM_CHUNK_STEPS steps at a
     time, and avg_cost is the running mean of stage costs from step 0.
     """
-    agents = _check_agents(model, agents, horizon)
+    agents = _check_agents(model, agents, horizon, seed)
     gains = np.asarray(gains, dtype=float)
     n_runs, n, m, N = len(gains), model.n, model.m, len(agents)
     A, B, C = model.A, model.B, model.C
@@ -465,10 +465,10 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     precomputed SynthesisResult; by default it is computed here. The run
     is a lockstep batch of one (_lockstep), whose chunks are copied into
     the trace's arrays. Agents whose number or (n_i, m_i) differ from the
-    model's raise ValueError.
+    model's, and a horizon or seed that is not an integer >= 0, raise
+    ValueError.
     """
-    horizon = int(horizon)
-    agents = _check_agents(model, agents, horizon)
+    agents = _check_agents(model, agents, horizon, seed)
     if synthesis is None:
         synthesis = synthesize(model)
     n, m = model.n, model.m

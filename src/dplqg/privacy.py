@@ -20,6 +20,9 @@ with Q the standard Gaussian upper-tail probability. The implementation of Q
 is self-contained (series plus continued fraction, documented at the private
 helpers) so that calibration is reproducible bit for bit wherever the package
 runs; tests cross-check it against independent oracles.
+
+The mechanism itself, ybar = C x + sigma z with z standard normal, is
+applied in one place: the simulation engine, dplqg.network.
 """
 
 import math
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_positive
+from .errors import check_finite, check_positive
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -36,6 +39,9 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 # Crossover between the two erfc evaluation strategies. Both are accurate to
 # near machine precision at the seam; see _erf_series_scalar / _erfc_cf_scalar.
 _SERIES_CF_SPLIT = 2.0
+
+# Thresholds on verify_dp_inequality's sweep of [-10 sigma, 10 sigma].
+DP_AUDIT_GRID_POINTS = 2001
 
 
 # ----------------------------------------------------------------------
@@ -242,22 +248,6 @@ class PrivacySpec:
         object.__setattr__(self, "adjacency_bound", bound)
 
 
-@dataclass(frozen=True)
-class NoiseScale:
-    """Standard deviation of the calibrated output noise.
-
-    sigma = 0 is admitted only as a degenerate no-noise mode for tests;
-    calibrate_sigma always returns sigma > 0.
-    """
-
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "sigma", check_positive(self.sigma, "sigma", allow_zero=True)
-        )
-
-
 def sensitivity_bound(C, adjacency_bound):
     """l2 sensitivity of the output map over an adjacency ball.
 
@@ -267,7 +257,7 @@ def sensitivity_bound(C, adjacency_bound):
     Parameters
     ----------
     C : array_like
-        Output matrix.
+        Output matrix, finite: NaN or inf in C raises ValueError.
     adjacency_bound : float
         Perturbation budget b > 0.
 
@@ -277,6 +267,7 @@ def sensitivity_bound(C, adjacency_bound):
         s1(C) * b where s1 is the largest singular value.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
+    check_finite(C, "C")
     b = check_positive(adjacency_bound, "adjacency_bound")
     return float(np.linalg.norm(C, 2)) * b
 
@@ -284,38 +275,16 @@ def sensitivity_bound(C, adjacency_bound):
 def calibrate_sigma(spec, C):
     """Smallest noise scale meeting a PrivacySpec for output map C.
 
-    Returns NoiseScale with sigma = kappa(delta, epsilon) * s1(C) * b, the
+    Returns the float sigma = kappa(delta, epsilon) * s1(C) * b, the
     equality case of the mechanism's sufficient condition. Linear in the
-    adjacency bound and in any scalar multiple of C.
+    adjacency bound and in any scalar multiple of C. C must be finite (see
+    sensitivity_bound), and a product that overflows to inf, as a tiny
+    epsilon or a huge C can make it, raises ValueError.
     """
     sigma = kappa(spec.delta, spec.epsilon) * sensitivity_bound(
         C, spec.adjacency_bound
     )
-    return NoiseScale(sigma=sigma)
-
-
-def privatize_output(y, scale, stream):
-    """Add calibrated isotropic Gaussian noise to one output vector.
-
-    Parameters
-    ----------
-    y : array_like
-        Output vector to protect.
-    scale : NoiseScale
-        Calibrated standard deviation.
-    stream : GaussianStream
-        Seeded draw source; consumption is documented in dplqg.rng so the
-        perturbed value is reproducible from the seed.
-
-    Returns
-    -------
-    ndarray
-        y + scale.sigma * z with z standard normal.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("output must be a vector")
-    return y + stream.normal(scale.sigma, y.size)
+    return check_positive(sigma, "sigma", allow_zero=True)
 
 
 # ----------------------------------------------------------------------
@@ -331,15 +300,16 @@ class DpCheckResult:
     worst_threshold: float
 
 
-def verify_dp_inequality(delta_2, sigma, epsilon, delta, grid_points=2001):
+def verify_dp_inequality(delta_2, sigma, epsilon, delta):
     """Audit the (epsilon, delta) inequality for a Gaussian release.
 
     For a scalar release with sensitivity delta_2 and noise sigma, every
     measurable event S must satisfy P[M(x) in S] <= e^eps P[M(x') in S] +
     delta. For Gaussian noise the binding events are half-lines, so the
-    audit sweeps thresholds t over [-10 sigma, 10 sigma] around the release
-    point (taken as 0 without loss of generality) with the adjacent release
-    shifted the unfavorable way, and checks
+    audit sweeps DP_AUDIT_GRID_POINTS evenly spaced thresholds t over
+    [-10 sigma, 10 sigma] around the release point (taken as 0 without loss
+    of generality) with the adjacent release shifted the unfavorable way,
+    and checks
 
         Q(t / sigma) <= e^eps * Q((t + delta_2) / sigma) + delta.
 
@@ -351,8 +321,6 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta, grid_points=2001):
         Noise standard deviation, finite and > 0.
     epsilon, delta : float
         Privacy parameters; epsilon finite and > 0, 0 < delta <= 1/2.
-    grid_points : int
-        Number of thresholds on the sweep (default 2001).
 
     Returns
     -------
@@ -363,9 +331,7 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta, grid_points=2001):
     delta_2 = check_positive(delta_2, "sensitivity", allow_zero=True)
     sigma = check_positive(sigma, "sigma")
     epsilon, delta = _privacy_params(epsilon, delta)
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
-    t = np.linspace(-10.0 * sigma, 10.0 * sigma, int(grid_points))
+    t = np.linspace(-10.0 * sigma, 10.0 * sigma, DP_AUDIT_GRID_POINTS)
     lhs = q_function(t / sigma)
     rhs = math.exp(epsilon) * q_function((t + delta_2) / sigma) + delta
     slack = rhs - lhs
@@ -377,17 +343,3 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta, grid_points=2001):
         worst_threshold=float(t[worst]),
     )
 
-
-def adjacency_check(traj_a, traj_b, adjacency_bound):
-    """Whether two trajectories are adjacent under the l2 budget.
-
-    Trajectories are arrays of identical shape (for example (T, n) stacks of
-    states); the check is ||a - b||_2 <= adjacency_bound over all entries,
-    boundary inclusive. Shape mismatch raises ValueError.
-    """
-    a = np.asarray(traj_a, dtype=float)
-    b = np.asarray(traj_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"trajectory shapes differ: {a.shape} vs {b.shape}")
-    bound = check_positive(adjacency_bound, "adjacency_bound")
-    return bool(np.linalg.norm((a - b).ravel()) <= bound)

@@ -89,10 +89,6 @@ class GaussianStream:
         padded = 2 * ((width + 1) // 2)
         return self.standard_normal(rows * padded).reshape(rows, padded)[:, :width]
 
-    def normal(self, sigma, size):
-        """Return `size` i.i.d. N(0, sigma^2) draws."""
-        return sigma * self.standard_normal(size)
-
     def correlated(self, factor):
         """Draw w = factor @ z with z standard normal, i.e. w ~ N(0, factor factor^T)."""
         factor = np.asarray(factor, dtype=float)

@@ -1,5 +1,6 @@
-"""Smoke tests for the documentation: every demo runs, and the README's
-library quickstart executes against the current public API."""
+"""Smoke tests for the documentation: every demo runs, the README's
+library quickstart executes against the current public API, and every
+name that API exports resolves."""
 
 import os
 import re
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import dplqg
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -36,3 +39,12 @@ def test_readme_quickstart_runs(capsys):
     exec(compile(code, "README.md quickstart", "exec"), {})
     out = capsys.readouterr().out
     assert "messages on the wire: 400" in out
+
+
+def test_public_names_resolve():
+    # a name deleted from the package but left in __all__ fails here, not
+    # at a user's star import
+    assert len(set(dplqg.__all__)) == len(dplqg.__all__)
+    missing = [name for name in dplqg.__all__ if not hasattr(dplqg, name)]
+    assert not missing
+    exec("from dplqg import *", {})

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from dplqg.lqg import (
     filter_step,
     incremental_cost,
-    moving_average_cost,
     synthesize,
 )
 from dplqg.network import AgentModel, assemble_network
@@ -157,15 +156,3 @@ def test_incremental_cost_dimension_checks():
     with pytest.raises(ValueError):
         incremental_cost(np.zeros((3, 2)), np.zeros(1), np.eye(2), np.eye(1))
 
-
-def test_moving_average_cost():
-    costs = [4.0, 2.0, 6.0, 0.0]
-    assert moving_average_cost(costs, 1) == 4.0
-    assert moving_average_cost(costs, 2) == 3.0
-    assert moving_average_cost(costs, 4) == 3.0
-    with pytest.raises(ValueError):
-        moving_average_cost(costs, 0)
-    with pytest.raises(ValueError):
-        moving_average_cost(costs, 5)
-    with pytest.raises(ValueError):
-        moving_average_cost(np.zeros((2, 2)), 1)

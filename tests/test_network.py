@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dplqg.bounds import logdet
 from dplqg.cli import _write_matrix
 from dplqg.errors import AssumptionError
 from dplqg.lqg import filter_step, synthesize
@@ -143,8 +144,8 @@ def test_assemble_network_block_structure():
 
 def test_assemble_network_privacy_noise_block():
     model, agents = _two_agent_setup()
-    s0 = calibrate_sigma(agents[0].privacy, agents[0].C).sigma
-    s1 = calibrate_sigma(agents[1].privacy, agents[1].C).sigma
+    s0 = calibrate_sigma(agents[0].privacy, agents[0].C)
+    s1 = calibrate_sigma(agents[1].privacy, agents[1].C)
     assert model.sigmas == (s0, s1)
     assert_allclose(model.V, np.diag([s0 ** 2, s0 ** 2, s1 ** 2, s1 ** 2]))
     # the tighter privacy requirement gets much more noise
@@ -155,7 +156,7 @@ def test_assemble_network_privacy_noise_block():
               for ag, eps in zip(agents, (0.7, 2.5))]
     assembled = assemble_network(agents, model.Q, model.R)
     renoised = replace(model, sigmas=tuple(
-        calibrate_sigma(ag.privacy, ag.C).sigma for ag in agents))
+        calibrate_sigma(ag.privacy, ag.C) for ag in agents))
     assert renoised.sigmas == assembled.sigmas != model.sigmas
     assert np.array_equal(renoised.V, assembled.V)
     expected = solve_dare_filter(assembled.A, assembled.C, assembled.W, assembled.V)
@@ -276,6 +277,10 @@ def test_horizon_zero_and_agent_mismatch():
         run_simulation(model, agents[:1], horizon=5, seed=1)
     with pytest.raises(ValueError):
         run_simulation(model, agents, horizon=-1, seed=1)
+    # a horizon or seed is an integer >= 0, never truncated or converted
+    for horizon, seed in ((2.7, 1), ("12", 1), (True, 1), (5, 2.7), (5, -1)):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            run_simulation(model, agents, horizon=horizon, seed=seed)
     # an agent of other (n_i, m_i) than the model's is named, not broadcast
     three_states = AgentModel(
         A=np.eye(3), B=np.eye(3)[:, -1:], C=np.eye(3), W=np.eye(3),
@@ -370,6 +375,7 @@ MALFORMED_LOGS = {
     "short payload": lambda msgs: _corrupt(msgs, 0, payload=np.zeros(1)),
     "long payload": lambda msgs: _corrupt(msgs, 3, payload=np.zeros(2)),
     "negative step": lambda msgs: _corrupt(msgs, 0, k=-1),
+    "bool step": lambda msgs: _corrupt(msgs, 4, k=True),
     "missing entry": lambda msgs: msgs[:5] + msgs[6:],
     "duplicated entry": lambda msgs: msgs + [msgs[5]],
 }
@@ -499,7 +505,8 @@ def _reference_simulation(model, agents, horizon, seed, syn):
     for k in range(horizon):
         y_bar = np.empty(model.n)
         for i, ag in enumerate(agents):
-            y_bar[S[i]] = ag.C @ x[S[i]] + privacy[i].normal(model.sigmas[i], ag.n)
+            v = model.sigmas[i] * privacy[i].standard_normal(ag.n)
+            y_bar[S[i]] = ag.C @ x[S[i]] + v
         if k > 0:
             x_hat = filter_step(model.A, model.B, model.C, syn.kalman_gain, x_hat, u, y_bar)
         u = syn.L @ x_hat
@@ -629,6 +636,26 @@ def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed):
                 rows = [getattr(c, name)[:, j] for c in chunks]
                 got = np.concatenate(rows) if rows else value[:0]
                 assert np.array_equal(got, value), (j, name)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(net=_noisy_networks(), eps_1=st.floats(0.2, 3.0), ratio=st.floats(1.05, 4.0))
+def test_entropy_falls_as_epsilon_rises(net, eps_1, ratio):
+    # A larger epsilon calibrates a smaller sigma_i for every agent, so V
+    # falls in PSD order, and with it the filter's covariance Sigma and its
+    # entropy: Sigma(eps_1) >= Sigma(eps_2) in PSD order, and strictly in
+    # logdet since every C_i is invertible.
+    model, agents = net
+    covs = []
+    for eps in (eps_1, eps_1 * ratio):
+        renoised = replace(model, sigmas=tuple(
+            calibrate_sigma(replace(ag.privacy, epsilon=eps), ag.C) for ag in agents))
+        covs.append(solve_dare_filter(renoised.A, renoised.C, renoised.W,
+                                      renoised.V).Sigma)
+    low_eps, high_eps = covs
+    gap = np.linalg.eigvalsh(low_eps - high_eps).min()
+    assert gap >= -1e-12 * np.linalg.norm(low_eps, 2)
+    assert logdet(low_eps) > logdet(high_eps)
 
 
 def test_wire_never_carries_true_state_values():
