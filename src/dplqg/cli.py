@@ -89,9 +89,11 @@ def cmd_synthesize(cfg, out=None, seed=None):
 
 
 def cmd_simulate(cfg, out=None, steps=None, seed=None):
-    """Run the closed loop and write the trace, the wire log, and a summary."""
-    master_seed = cfg.seed if seed is None else seed
-    horizon = cfg.horizon if steps is None else steps
+    """Run the closed loop and write the trace, the wire log, and a summary.
+
+    The horizon and seed overrides are checked before anything is solved."""
+    master_seed = cfg.seed if seed is None else check_count(seed, "seed", ConfigError)
+    horizon = cfg.horizon if steps is None else check_count(steps, "steps", ConfigError)
     model, agents = build_network(cfg, seed=master_seed)
     syn = synthesize(model)
     trace = run_simulation(model, agents, horizon, master_seed, synthesis=syn)

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import check_count, check_finite
 from .lqg import filter_step, incremental_cost, synthesize
@@ -65,6 +64,16 @@ def _slices(dims):
     """Consecutive slices of the given widths."""
     offsets = np.concatenate(([0], np.cumsum(dims)))
     return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def _block_diag(blocks):
+    """The block-diagonal matrix of the given 2-d blocks."""
+    rows = _slices([b.shape[0] for b in blocks])
+    cols = _slices([b.shape[1] for b in blocks])
+    out = np.zeros((rows[-1].stop, cols[-1].stop))
+    for block, r, c in zip(blocks, rows, cols):
+        out[r, c] = block
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,8 +152,8 @@ class NetworkModel:
     sigmas: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "V", block_diag(
-            *[s * s * np.eye(n) for s, n in zip(self.sigmas, self.state_dims)]))
+        object.__setattr__(self, "V", np.diag(
+            np.repeat(np.square(self.sigmas), self.state_dims)))
 
     @property
     def n(self):
@@ -180,10 +189,10 @@ def assemble_network(agents, Q, R):
     agents = list(agents)
     if not agents:
         raise ValueError("at least one agent is required")
-    A = block_diag(*[ag.A for ag in agents])
-    B = block_diag(*[ag.B for ag in agents])
-    C = block_diag(*[ag.C for ag in agents])
-    W = block_diag(*[ag.W for ag in agents])
+    A = _block_diag([ag.A for ag in agents])
+    B = _block_diag([ag.B for ag in agents])
+    C = _block_diag([ag.C for ag in agents])
+    W = _block_diag([ag.W for ag in agents])
     sigmas = tuple(calibrate_sigma(ag.privacy, ag.C) for ag in agents)
     Q, R = check_preconditions(A, B, Q, R)
     model = NetworkModel(

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import check_square, check_symmetric
+from .errors import check_count, check_square, check_symmetric
 
 # Stream kinds for derive_stream. Fixed numeric codes; changing them would
 # silently re-randomize every seeded experiment, so they are append-only.
@@ -67,9 +67,7 @@ class GaussianStream:
 
     def standard_normal(self, size):
         """Return `size` i.i.d. N(0, 1) draws as a 1-d float64 array."""
-        size = int(size)
-        if size < 0:
-            raise ValueError("size must be nonnegative")
+        size = check_count(size, "size")
         pairs = (size + 1) // 2
         u = self._gen.random((pairs, 2))
         r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
@@ -83,9 +81,7 @@ class GaussianStream:
         """Return a (rows, width) array: row k is the k-th of `rows`
         successive standard_normal(width) calls, and the stream is left
         where those calls would leave it. rows = 0 draws nothing."""
-        rows, width = int(rows), int(width)
-        if rows < 0 or width < 0:
-            raise ValueError("rows and width must be nonnegative")
+        rows, width = check_count(rows, "rows"), check_count(width, "width")
         padded = 2 * ((width + 1) // 2)
         return self.standard_normal(rows * padded).reshape(rows, padded)[:, :width]
 
@@ -100,9 +96,12 @@ def derive_stream(master_seed, entity_index, stream_kind):
 
     The derivation is SeedSequence((master_seed, entity_index, stream_kind)),
     so streams for distinct (entity, kind) pairs are statistically independent
-    and each is reproducible in isolation.
+    and each is reproducible in isolation. All three must be integers >= 0;
+    a float, bool or string raises ValueError, never selects another stream.
     """
-    return GaussianStream((int(master_seed), int(entity_index), int(stream_kind)))
+    return GaussianStream((check_count(master_seed, "master_seed"),
+                           check_count(entity_index, "entity_index"),
+                           check_count(stream_kind, "stream_kind")))
 
 
 def psd_factor(M):

@@ -279,6 +279,24 @@ def test_cli_simulate_trace_and_summary(tmp_path):
     assert float(summary["final_avg_cost"]) > 0.0
 
 
+def test_cli_simulate_checks_overrides_before_solving(tmp_path, capsys, monkeypatch):
+    # a bad --steps or --seed is rejected before anything is solved
+    def unreachable(*args, **kwargs):
+        raise AssertionError("synthesize ran before the overrides were checked")
+
+    monkeypatch.setattr(cli, "synthesize", unreachable)
+    cfg_path = _write_config(tmp_path, _config_dict())
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_path, "--steps", "-1",
+                 "--out", str(out)]) == 2
+    assert "steps must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+    for overrides in ({"steps": 2.5}, {"seed": 2.7}, {"seed": True}):
+        with pytest.raises(ConfigError, match="must be an integer >= 0"):
+            cli.cmd_simulate(load(cfg_path), out=str(out), **overrides)
+    assert not (out / "trace.csv").exists()
+
+
 def test_cli_sweep_outputs_monotone_logdet(tmp_path):
     cfg_path = _write_config(tmp_path, _config_dict())
     out = tmp_path / "sweep"

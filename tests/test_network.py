@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import block_diag
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,20 @@ def test_assemble_network_block_structure():
     assert_allclose(model.B[:2, :1], agents[0].B)
     assert np.all(model.B[:2, 1:] == 0.0)
     assert_allclose(model.W[2:, 2:], agents[1].W)
+    # bit for bit the scipy layout, on state dims (2, 1, 2) with 2 x 1 B_i
+    model, agents = _interleaved_network()
+    assert model.state_dims == (2, 1, 2) and model.input_dims == (1, 1, 1)
+
+    def same_bits(got, expected):
+        return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    for name in ("A", "B", "C", "W"):
+        expected = block_diag(*[getattr(ag, name) for ag in agents])
+        assert same_bits(getattr(model, name), expected), name
+    sigma_sq = np.square(model.sigmas)
+    assert same_bits(model.V, np.diag(np.repeat(sigma_sq, model.state_dims)))
+    assert same_bits(model.V, block_diag(
+        *[s * s * np.eye(n) for s, n in zip(model.sigmas, model.state_dims)]))
 
 
 def test_assemble_network_privacy_noise_block():
@@ -530,13 +545,19 @@ def _reference_simulation(model, agents, horizon, seed, syn):
     return out
 
 
+def _uniform(draw, low, high, shape):
+    """An array of uniform entries from one drawn seed: drawing each entry
+    from hypothesis costs far more than the properties that use them."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).uniform(low, high, shape)
+
+
 def _dense(draw, n):
-    return np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
-                                  max_size=n * n))).reshape(n, n)
+    return _uniform(draw, -1.0, 1.0, (n, n))
 
 
 def _vector(draw, n):
-    return np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    return _uniform(draw, -2.0, 2.0, n)
 
 
 def _coupled_network(agents, G_q, G_r):

@@ -58,8 +58,12 @@ def test_draw_size_edge_cases():
     assert s.standard_normal(0).shape == (0,)
     # a zero-size draw consumes nothing from the stream
     assert np.array_equal(s.standard_normal(3), GaussianStream(0).standard_normal(3))
-    with pytest.raises(ValueError):
-        s.standard_normal(-1)
+    # sizes are integers >= 0, not converted: 2.7 would draw 2 values
+    for bad in (-1, 2.7, 2.0, "3", True):
+        with pytest.raises(ValueError, match="size must be an integer >= 0"):
+            s.standard_normal(bad)
+    assert np.array_equal(GaussianStream(0).standard_normal(np.int64(3)),
+                          GaussianStream(0).standard_normal(3))
 
 
 @pytest.mark.parametrize("rows, width", [(1, 1), (5, 1), (7, 2), (6, 3), (4, 4), (3, 5),
@@ -86,10 +90,11 @@ def test_row_draw_edge_cases():
     assert s.standard_normal_rows(0, 3).shape == (0, 3)
     # zero rows draw nothing
     assert np.array_equal(s.standard_normal(3), GaussianStream(0).standard_normal(3))
-    with pytest.raises(ValueError):
-        s.standard_normal_rows(-1, 2)
-    with pytest.raises(ValueError):
-        s.standard_normal_rows(2, -1)
+    for rows, width in [(-1, 2), (2, -1), (2.5, 1), (2, 1.9), (2.5, 1.9), ("2", 1),
+                        (2, False)]:
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            s.standard_normal_rows(rows, width)
+    assert s.standard_normal_rows(np.int32(2), np.uint8(1)).shape == (2, 1)
 
 
 def test_moments_and_tail_fractions():
@@ -128,6 +133,15 @@ def test_derive_stream_golden_and_separated():
                          (0, COST_MATRIX), (3, PRIVACY_NOISE)]:
         other = derive_stream(42, entity, kind).standard_normal(6)
         assert not np.array_equal(base, other), (entity, kind)
+
+    # numpy integers select the same stream; anything else is rejected
+    # rather than converted (2.7 and True would draw seeds 2 and 1)
+    z_np = derive_stream(np.int64(42), np.uint8(1), np.int32(PRIVACY_NOISE))
+    assert np.array_equal(z_np.standard_normal(3), z)
+    for args in [(2.7, 0, 1), ("12", 0, 1), (True, 0, 1), (-1, 0, 1),
+                 (0, 1.0, 1), (0, -2, 1), (0, 0, 1.5), (0, 0, None)]:
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            derive_stream(*args)
 
 
 def test_derive_stream_kind_codes_are_stable():
