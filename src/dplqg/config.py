@@ -54,7 +54,7 @@ class RandomPdRecipe:
     """Deferred G^T G + 0.1 I cost matrix; resolved at network build time."""
 
     def __init__(self, seed=None):
-        self.seed = None if seed is None else int(seed)
+        self.seed = None if seed is None else check_count(seed, "seed")
 
     def __eq__(self, other):
         return isinstance(other, RandomPdRecipe) and self.seed == other.seed
@@ -63,7 +63,9 @@ class RandomPdRecipe:
         return f"RandomPdRecipe(seed={self.seed})"
 
     def resolve(self, dim, default_seed, which):
-        seed = self.seed if self.seed is not None else int(default_seed)
+        seed = self.seed
+        if seed is None:
+            seed = check_count(default_seed, "default_seed")
         stream = GaussianStream((seed, COST_MATRIX, which))
         G = stream.standard_normal(dim * dim).reshape(dim, dim)
         return G.T @ G + 0.1 * np.eye(dim)

@@ -83,12 +83,9 @@ def _erfc_cf_scalar(x):
     d = 0.0
     for j in range(1, 129):
         a = 1.0 if j == 1 else 0.5 * (j - 1)
+        # No zero guards: with x > 2 and a > 0, every d and c is at least x.
         d = x + a * d
-        if d == 0.0:
-            d = tiny
         c = x + a / c
-        if c == 0.0:
-            c = tiny
         d = 1.0 / d
         delta = c * d
         f *= delta
@@ -98,30 +95,50 @@ def _erfc_cf_scalar(x):
 
 
 def _erf_series_vec(x):
-    """Vectorized twin of _erf_series_scalar (fixed 96 terms)."""
+    """Vectorized twin of _erf_series_scalar (at most 96 terms).
+
+    The terms are summed in place. From n = 4 on the term ratio
+    2x^2/(2n+1) is below 1 for x <= 2, so each rounded term is at most the
+    one before, and a total that one term no longer moves stays put for
+    every later term: stopping once no total moved gives the bits of all
+    96 terms.
+    """
     t = 2.0 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
+    ratio = np.empty_like(x)
+    moved = np.empty_like(x)
     for n in range(1, 96):
-        term = term * (t / (2 * n + 1))
-        total = total + term
+        np.divide(t, 2 * n + 1, out=ratio)
+        np.multiply(term, ratio, out=term)
+        np.add(total, term, out=moved)
+        if n >= 4 and np.array_equal(moved, total):
+            break
+        total, moved = moved, total
     return 2.0 * _INV_SQRT_PI * x * np.exp(-x * x) * total
 
 
 def _erfc_cf_vec(x):
-    """Vectorized twin of _erfc_cf_scalar (fixed 128 Lentz sweeps)."""
+    """Vectorized twin of _erfc_cf_scalar (fixed 128 Lentz sweeps).
+
+    The sweeps run in place, with no per-sweep temporary arrays. Lentz's
+    zero guards are left out because they cannot fire: x > 2 (or NaN) and
+    every a > 0, so each d = x + a d and c = x + a / c is at least x.
+    """
     tiny = 1e-300
     f = np.full_like(x, tiny)
     c = np.full_like(x, tiny)
     d = np.zeros_like(x)
+    delta = np.empty_like(x)
     for j in range(1, 129):
         a = 1.0 if j == 1 else 0.5 * (j - 1)
-        d = x + a * d
-        d[d == 0.0] = tiny
-        c = x + a / c
-        c[c == 0.0] = tiny
-        d = 1.0 / d
-        f = f * (c * d)
+        np.multiply(a, d, out=d)
+        np.add(x, d, out=d)
+        np.divide(a, c, out=c)
+        np.add(x, c, out=c)
+        np.divide(1.0, d, out=d)
+        np.multiply(c, d, out=delta)
+        np.multiply(f, delta, out=f)
     return _INV_SQRT_PI * np.exp(-x * x) * f
 
 
@@ -332,8 +349,8 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta):
     sigma = check_positive(sigma, "sigma")
     epsilon, delta = _privacy_params(epsilon, delta)
     t = np.linspace(-10.0 * sigma, 10.0 * sigma, DP_AUDIT_GRID_POINTS)
-    lhs = q_function(t / sigma)
-    rhs = math.exp(epsilon) * q_function((t + delta_2) / sigma) + delta
+    lhs, q_shift = q_function(np.stack((t / sigma, (t + delta_2) / sigma)))
+    rhs = math.exp(epsilon) * q_shift + delta
     slack = rhs - lhs
     worst = int(np.argmin(slack))
     min_slack = float(slack[worst])

@@ -131,8 +131,9 @@ def is_observable(A, C):
 
 def _riccati_map(X, A, B, Q, R):
     """X -> A^T X A - (B^T X A)^T (R + B^T X B)^{-1} (B^T X A) + Q."""
-    G = B.T @ X @ A
-    return A.T @ X @ A - G.T @ np.linalg.solve(R + B.T @ X @ B, G) + Q
+    BX = B.T @ X
+    G = BX @ A
+    return A.T @ X @ A - G.T @ np.linalg.solve(R + BX @ B, G) + Q
 
 
 def check_preconditions(A, B, Q, R, dual=False):

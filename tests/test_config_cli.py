@@ -193,6 +193,21 @@ def test_random_pd_recipe_deterministic_and_pd():
     assert not np.array_equal(Q1, R1)
 
 
+def test_random_pd_recipe_rejects_non_integer_seeds():
+    # a seed is never converted: 2.7, "12" and True do not become 2, 12 and 1
+    for bad in (2.7, 2.0, "12", True, -1):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            RandomPdRecipe(bad)
+        with pytest.raises(ValueError, match="default_seed must be an integer >= 0"):
+            RandomPdRecipe().resolve(2, default_seed=bad, which=0)
+    assert RandomPdRecipe(np.int64(12)) == RandomPdRecipe(12)
+    assert np.array_equal(RandomPdRecipe().resolve(3, np.uint32(12), 0),
+                          RandomPdRecipe(12).resolve(3, 0, 0))
+    # an explicit seed wins, so the unused default is not inspected
+    assert np.array_equal(RandomPdRecipe(12).resolve(3, None, 0),
+                          RandomPdRecipe(12).resolve(3, 0, 0))
+
+
 def test_random_pd_seed_falls_back_to_master():
     raw = _config_dict(cost={"Q": {"random_pd": {}}, "R": {"random_pd": {}}})
     cfg = from_dict(raw)

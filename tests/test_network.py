@@ -434,8 +434,8 @@ def test_wire_log_view_indexing():
 
 
 @st.composite
-def _networks(draw):
-    """Small controllable, observable networks: N <= 4, dims <= 3."""
+def _agent_lists(draw):
+    """Agents of small controllable, observable networks: N <= 4, dims <= 3."""
     agents = []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, 3))
@@ -455,6 +455,13 @@ def _networks(draw):
             A=A, B=B, C=np.eye(n), W=draw(st.floats(0.1, 2.0)) * np.eye(n),
             privacy=privacy, x0_mean=np.zeros(n), x0_cov=np.eye(n),
         ))
+    return agents
+
+
+@st.composite
+def _networks(draw):
+    """_agent_lists assembled under identity Q and R."""
+    agents = draw(_agent_lists())
     n_total = sum(ag.n for ag in agents)
     m_total = sum(ag.m for ag in agents)
     model = assemble_network(agents, Q=np.eye(n_total), R=np.eye(m_total))
@@ -569,12 +576,11 @@ def _coupled_network(agents, G_q, G_r):
 
 @st.composite
 def _noisy_networks(draw):
-    """_networks made dense: per agent a dense W and a dense invertible C
+    """_agent_lists made dense: per agent a dense W and a dense invertible C
     (diagonally dominant), x0_true drawn or absent, x0_cov absent, identity
     or drawn; dense SPD Q and R that couple the agents."""
-    _, agents = draw(_networks())
     varied = []
-    for ag in agents:
+    for ag in draw(_agent_lists()):
         n = ag.n
         G = _dense(draw, n)
         x0_cov = draw(st.sampled_from([None, np.eye(n), G @ G.T]))

@@ -83,6 +83,107 @@ def test_q_function_scalar_matches_vector_path():
         assert_allclose(q_function(y), qv, rtol=5e-15, atol=0.0)
 
 
+# The vector path as it stood before it ran in place and stopped the series
+# early, kept as the bit-for-bit oracle for q_function's array branch and
+# the audit built on it.
+_REF_SQRT2 = math.sqrt(2.0)
+_REF_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_REF_SERIES_CF_SPLIT = 2.0
+
+
+def _ref_erf_series_vec(x):
+    t = 2.0 * x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for n in range(1, 96):
+        term = term * (t / (2 * n + 1))
+        total = total + term
+    return 2.0 * _REF_INV_SQRT_PI * x * np.exp(-x * x) * total
+
+
+def _ref_erfc_cf_vec(x):
+    tiny = 1e-300
+    f = np.full_like(x, tiny)
+    c = np.full_like(x, tiny)
+    d = np.zeros_like(x)
+    for j in range(1, 129):
+        a = 1.0 if j == 1 else 0.5 * (j - 1)
+        d = x + a * d
+        d[d == 0.0] = tiny
+        c = x + a / c
+        c[c == 0.0] = tiny
+        d = 1.0 / d
+        f = f * (c * d)
+    return _REF_INV_SQRT_PI * np.exp(-x * x) * f
+
+
+def _ref_q_vec(y):
+    y = np.asarray(y, dtype=float)
+    x = np.abs(y) / _REF_SQRT2
+    half_erfc = np.empty_like(x)
+    small = x <= _REF_SERIES_CF_SPLIT
+    if small.any():
+        half_erfc[small] = 0.5 * (1.0 - _ref_erf_series_vec(x[small]))
+    big = ~small
+    if big.any():
+        half_erfc[big] = 0.5 * _ref_erfc_cf_vec(x[big])
+    return np.where(y >= 0.0, half_erfc, 1.0 - half_erfc)
+
+
+def _ref_audit(delta_2, sigma, epsilon, delta):
+    """verify_dp_inequality's grid sweep on the oracle, one Q call per tail."""
+    t = np.linspace(-10.0 * sigma, 10.0 * sigma, DP_AUDIT_GRID_POINTS)
+    lhs = _ref_q_vec(t / sigma)
+    rhs = math.exp(epsilon) * _ref_q_vec((t + delta_2) / sigma) + delta
+    slack = rhs - lhs
+    worst = int(np.argmin(slack))
+    return bool(slack[worst] >= 0.0), float(slack[worst]), float(t[worst])
+
+
+def _ulps_around(y, count):
+    """y and its `count` floating-point neighbours on either side."""
+    below, above = [y], [y]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_q_function_vector_path_matches_oracle_bit_for_bit():
+    # The series/continued-fraction seam sits at |y| = 2 sqrt(2).
+    seam = 2.0 * _REF_SQRT2
+    y = np.concatenate([
+        np.linspace(-40.0, 40.0, 160_001),
+        np.linspace(-3.0, 3.0, 60_001),
+        _ulps_around(seam, 64),
+        _ulps_around(-seam, 64),
+        [0.0, -0.0, 1e-300, -1e-300, 5e-324, math.inf, -math.inf, math.nan],
+    ])
+    # an infinite argument makes inf * 0 in the continued fraction, on both
+    # paths alike
+    with np.errstate(invalid="ignore"):
+        ours, oracle = q_function(y), _ref_q_vec(y)
+    assert np.array_equal(_bits(ours), _bits(oracle))
+    # a 2-d argument is evaluated elementwise, as the audit's stacked tails are
+    assert np.array_equal(_bits(q_function(y[:200_000].reshape(2, -1))),
+                          _bits(oracle[:200_000].reshape(2, -1)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(delta_2=st.floats(0.0, 10.0), sigma=st.floats(1e-3, 100.0),
+       epsilon=st.floats(1e-3, 10.0), delta=st.floats(1e-6, 0.5))
+def test_audit_matches_two_call_oracle_bit_for_bit(delta_2, sigma, epsilon, delta):
+    res = verify_dp_inequality(delta_2, sigma, epsilon, delta)
+    holds, min_slack, worst_threshold = _ref_audit(delta_2, sigma, epsilon, delta)
+    assert res.holds == holds
+    assert np.array_equal(_bits([res.min_slack, res.worst_threshold]),
+                          _bits([min_slack, worst_threshold]))
+
+
 def test_q_inverse_round_trip():
     for p in [1e-12, 1e-6, 0.01, 0.3, 0.5, 0.77, 0.999, 1 - 1e-9]:
         y = q_inverse(p)
