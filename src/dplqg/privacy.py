@@ -75,8 +75,11 @@ def _erfc_cf_scalar(x):
     erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + (2/2)/(x + (3/2)/(x + ...))))
 
     evaluated with the modified Lentz algorithm. Convergence is fast for
-    x > 2 (a few dozen convergents for full double precision).
+    x > 2 (a few dozen convergents for full double precision). erfc(inf) is
+    returned as 0 directly, since the first sweep would make inf * 0.
     """
+    if x == math.inf:
+        return 0.0
     tiny = 1e-300
     f = tiny
     c = tiny
@@ -163,17 +166,19 @@ def q_function(y):
     -------
     float or ndarray
         Q(y), elementwise for array input. Strictly decreasing in y;
-        Q(0) = 1/2, Q(-y) = 1 - Q(y).
+        Q(0) = 1/2, Q(-y) = 1 - Q(y), Q(inf) = 0 and Q(-inf) = 1.
     """
     if np.ndim(y) == 0:
         return _q_scalar(float(y))
     y = np.asarray(y, dtype=float)
     x = np.abs(y) / _SQRT2
-    half_erfc = np.empty_like(x)
+    # erfc(inf) = 0 is left from the zeros, because the continued fraction
+    # would make it inf * 0 = NaN; NaN itself still takes the fraction
+    half_erfc = np.zeros_like(x)
     small = x <= _SERIES_CF_SPLIT
     if small.any():
         half_erfc[small] = 0.5 * (1.0 - _erf_series_vec(x[small]))
-    big = ~small
+    big = ~small & (x != np.inf)
     if big.any():
         half_erfc[big] = 0.5 * _erfc_cf_vec(x[big])
     return np.where(y >= 0.0, half_erfc, 1.0 - half_erfc)

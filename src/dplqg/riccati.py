@@ -25,9 +25,14 @@ definite weights, controllable input pair, observable output pair), which
 check_preconditions states once per problem for both solvers and network
 assembly. The iteration is deliberately simple and fully deterministic;
 tests cross-check it against closed-form scalar solutions and an
-independent dense solver.
+independent dense solver. Each step keeps the bits of its `@` and
+np.linalg.norm spelling, which the tests keep as an oracle, because it
+makes the same BLAS/LAPACK calls: ndarray.dot reaches the same BLAS
+routines as `@`, each norm is np.linalg.norm's own ddot in memory order,
+and np.linalg.solve stays.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +134,20 @@ def is_observable(A, C):
     return _full_krylov_rank(*_dual_pair(A, C))
 
 
-def _riccati_map(X, A, B, Q, R):
-    """X -> A^T X A - (B^T X A)^T (R + B^T X B)^{-1} (B^T X A) + Q."""
-    BX = B.T @ X
-    G = BX @ A
-    return A.T @ X @ A - G.T @ np.linalg.solve(R + BX @ B, G) + Q
+def _frobenius(M):
+    """np.linalg.norm(M) without its wrapper: the same ddot in M's memory order."""
+    v = M.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _riccati_map(X, A, At, B, Bt, Q, R):
+    """X -> A^T X A - (B^T X A)^T (R + B^T X B)^{-1} (B^T X A) + Q.
+
+    At and Bt are A.T and B.T, which the fixed-point loop forms once.
+    """
+    BX = Bt.dot(X)
+    G = BX.dot(A)
+    return At.dot(X).dot(A) - G.T.dot(np.linalg.solve(R + BX.dot(B), G)) + Q
 
 
 def check_preconditions(A, B, Q, R, dual=False):
@@ -164,14 +178,21 @@ def _iterate_to_fixed_point(A, B, Q, R):
 
     Convergence is declared when the relative Frobenius change drops below
     CONVERGENCE_RTOL; the converged iterate must then pass the residual
-    check, otherwise ConvergenceError reports how far the solve got.
+    check, otherwise ConvergenceError reports how far the solve got. A step
+    whose change is not finite (the iterate overflowed) raises it at once,
+    with a NaN residual.
     """
+    At, Bt = A.T, B.T
     X = 0.5 * (Q + Q.T)
     for iteration in range(1, MAX_ITERATIONS + 1):
-        X_next = _riccati_map(X, A, B, Q, R)
-        X_next = 0.5 * (X_next + X_next.T)
-        change = np.linalg.norm(X_next - X) / max(1.0, np.linalg.norm(X_next))
+        X_next = _riccati_map(X, A, At, B, Bt, Q, R)
+        X_next = X_next + X_next.T
+        X_next *= 0.5
+        change = _frobenius(X_next - X) / max(1.0, _frobenius(X_next))
         X = X_next
+        if not math.isfinite(change):
+            raise ConvergenceError(f"iterate not finite at step {iteration}",
+                                   iterations=iteration, residual=math.nan)
         if change < CONVERGENCE_RTOL:
             res = dare_residual_control(X, A, B, Q, R)
             if res <= RESIDUAL_RTOL:
@@ -235,10 +256,9 @@ def dare_residual_control(K, A, B, Q, R):
     candidate scores 1 against any Q and an exact solution scores ~0.
     """
     K, A, B, Q, R = (np.asarray(M, dtype=float) for M in (K, A, B, Q, R))
-    return float(
-        np.linalg.norm(_riccati_map(K, A, B, Q, R) - K)
-        / max(np.linalg.norm(K), np.linalg.norm(Q))
-    )
+    defect = _riccati_map(K, A, A.T, B, B.T, Q, R) - K
+    # numpy's division, so a zero K and Q give nan rather than ZeroDivisionError
+    return float(np.divide(_frobenius(defect), max(_frobenius(K), _frobenius(Q))))
 
 
 def dare_residual_filter(Sigma, A, C, W, V):

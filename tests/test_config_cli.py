@@ -562,6 +562,18 @@ def test_cli_exit_code_nonconvergence(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "z")]) == 4
 
 
+def test_cli_exit_code_non_finite_iterate(tmp_path, capsys):
+    # A^T X A overflows: the control solve stops at step 1, not after
+    # MAX_ITERATIONS, and the verb still exits 4
+    raw = _config_dict(agents=[_agent_dict(A=[[1e200]], B=[[1.0]], W=[[1.0]])],
+                       cost={"Q": [[1.0]], "R": [[1.0]]})
+    path = _write_config(tmp_path, raw)
+    with np.errstate(all="ignore"):
+        assert main(["synthesize", "--config", path,
+                     "--out", str(tmp_path / "z")]) == 4
+    assert "iterate not finite at step 1" in capsys.readouterr().err
+
+
 def test_console_script_installed(tmp_path):
     exe = shutil.which("dplqg")
     if exe is None:

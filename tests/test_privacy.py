@@ -161,16 +161,24 @@ def test_q_function_vector_path_matches_oracle_bit_for_bit():
         np.linspace(-3.0, 3.0, 60_001),
         _ulps_around(seam, 64),
         _ulps_around(-seam, 64),
-        [0.0, -0.0, 1e-300, -1e-300, 5e-324, math.inf, -math.inf, math.nan],
+        [0.0, -0.0, 1e-300, -1e-300, 5e-324, math.nan],
     ])
-    # an infinite argument makes inf * 0 in the continued fraction, on both
-    # paths alike
-    with np.errstate(invalid="ignore"):
-        ours, oracle = q_function(y), _ref_q_vec(y)
+    ours, oracle = q_function(y), _ref_q_vec(y)
     assert np.array_equal(_bits(ours), _bits(oracle))
     # a 2-d argument is evaluated elementwise, as the audit's stacked tails are
     assert np.array_equal(_bits(q_function(y[:200_000].reshape(2, -1))),
                           _bits(oracle[:200_000].reshape(2, -1)))
+
+
+def test_q_function_is_exact_at_infinity():
+    # The oracle's continued fraction makes inf * 0 = NaN here; Q(inf) = 0
+    # and Q(-inf) = 1 exactly, on both paths and with no RuntimeWarning.
+    exact = _bits([0.0, 1.0])
+    assert np.array_equal(_bits([q_function(math.inf), q_function(-math.inf)]), exact)
+    ours = q_function(np.array([math.inf, -math.inf, math.nan, 40.0, -40.0]))
+    assert np.array_equal(_bits(ours[:2]), exact)
+    assert np.array_equal(_bits(ours[2:]),
+                          _bits(_ref_q_vec(np.array([math.nan, 40.0, -40.0]))))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

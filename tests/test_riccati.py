@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -341,6 +341,122 @@ def test_iteration_cap_reports_progress(monkeypatch):
     err = exc_info.value
     assert err.iterations == 3
     assert err.residual is not None and err.residual > 0.0
+
+
+def test_non_finite_iterate_fails_at_that_step():
+    # A^T X A overflows on the first step and inf - inf makes the iterate
+    # NaN; the solver stops there instead of iterating to MAX_ITERATIONS.
+    one = np.array([[1.0]])
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError,
+                                                  match="not finite at step 1") as exc_info:
+        solve_dare_control(np.array([[1e200]]), one, one, one)
+    err = exc_info.value
+    assert err.iterations == 1
+    assert math.isnan(err.residual)
+
+
+# ----------------------------------------------------------------------
+# Bit-for-bit oracle for the fixed-point step
+# ----------------------------------------------------------------------
+
+# The step as it stood when it used `@` and np.linalg.norm, kept verbatim
+# (constants and errors read from the module). The solver must make the
+# same BLAS/LAPACK calls in the same order, so every bit must match.
+
+def _ref_riccati_map(X, A, B, Q, R):
+    """X -> A^T X A - (B^T X A)^T (R + B^T X B)^{-1} (B^T X A) + Q."""
+    BX = B.T @ X
+    G = BX @ A
+    return A.T @ X @ A - G.T @ np.linalg.solve(R + BX @ B, G) + Q
+
+
+def _ref_iterate_to_fixed_point(A, B, Q, R):
+    X = 0.5 * (Q + Q.T)
+    for iteration in range(1, riccati.MAX_ITERATIONS + 1):
+        X_next = _ref_riccati_map(X, A, B, Q, R)
+        X_next = 0.5 * (X_next + X_next.T)
+        change = np.linalg.norm(X_next - X) / max(1.0, np.linalg.norm(X_next))
+        X = X_next
+        if change < riccati.CONVERGENCE_RTOL:
+            res = _ref_dare_residual_control(X, A, B, Q, R)
+            if res <= riccati.RESIDUAL_RTOL:
+                return X
+            raise ConvergenceError(
+                f"iteration stalled after {iteration} steps with residual {res:.3e}",
+                iterations=iteration,
+                residual=res,
+            )
+    res = _ref_dare_residual_control(X, A, B, Q, R)
+    raise ConvergenceError(
+        f"no fixed point within {riccati.MAX_ITERATIONS} iterations "
+        f"(last residual {res:.3e})",
+        iterations=riccati.MAX_ITERATIONS,
+        residual=res,
+    )
+
+
+def _ref_dare_residual_control(K, A, B, Q, R):
+    K, A, B, Q, R = (np.asarray(M, dtype=float) for M in (K, A, B, Q, R))
+    return float(
+        np.linalg.norm(_ref_riccati_map(K, A, B, Q, R) - K)
+        / max(np.linalg.norm(K), np.linalg.norm(Q))
+    )
+
+
+def _bits(M):
+    return np.asarray(M, dtype=float).view(np.int64)
+
+
+def _assert_step_matches_oracle(A, B, Q, R, rng):
+    """Map, fixed point and residuals of one checked problem, bit for bit."""
+    n = A.shape[0]
+    X = rng.standard_normal((n, n))
+    X = X @ X.T
+    assert np.array_equal(_bits(riccati._riccati_map(X, A, A.T, B, B.T, Q, R)),
+                          _bits(_ref_riccati_map(X, A, B, Q, R)))
+    K = riccati._iterate_to_fixed_point(A, B, Q, R)
+    assert np.array_equal(_bits(K), _bits(_ref_iterate_to_fixed_point(A, B, Q, R)))
+    # a non-symmetric F-ordered candidate: the norms must sum in memory order
+    K_f = np.asfortranarray(K + 1e-3 * rng.standard_normal((n, n)))
+    for cand in (K, X, K_f, K_f.T):
+        assert (_bits(dare_residual_control(cand, A, B, Q, R))
+                == _bits(_ref_dare_residual_control(cand, A, B, Q, R)))
+
+
+def _checked_problem(rng, n, m, dual):
+    """A random problem as the solvers pass it to the iteration.
+
+    With dual=True the data are a filter's (A^T, C^T, W, V), transposed
+    views as solve_dare_filter makes them.
+    """
+    A, B = _random_system(rng, n, m, radius=float(rng.uniform(0.3, 1.3)))
+    Q = np.eye(n) + 0.1 * _random_pd(rng, n)
+    R = np.eye(m) + 0.1 * _random_pd(rng, m)
+    if dual:  # the m x n output map C is B's transpose
+        A, B = riccati._dual_pair(A, np.ascontiguousarray(B.T))
+    else:
+        A, B = riccati._as_pair(A, B)
+    Q, R = riccati.check_preconditions(A, B, Q, R, dual=dual)
+    return A, B, Q, R
+
+
+@st.composite
+def _step_cases(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_step_cases(), st.booleans())
+@example((1, 1, 0), False)
+@example((1, 1, 0), True)
+@example((6, 1, 1), True)
+@example((6, 6, 2), False)
+@example((128, 64, 128), False)
+def test_riccati_step_matches_oracle_bit_for_bit(case, dual):
+    n, m, seed = case
+    rng = np.random.default_rng(seed)
+    _assert_step_matches_oracle(*_checked_problem(rng, n, m, dual), rng)
 
 
 def test_synthesis_dataclasses_hold_arrays():
