@@ -23,6 +23,12 @@ runs; tests cross-check it against independent oracles.
 
 The mechanism itself, ybar = C x + sigma z with z standard normal, is
 applied in one place: the simulation engine, dplqg.network.
+
+verify_dp_inequality audits the inequality on a grid of half-line events.
+Its slack has one minimum, at the closed-form threshold of Balle & Wang
+(ICML 2018), so it evaluates only a window around that point. The window
+is certified: grown until its edges clear the minimum by twice q_function's
+absolute error bound, so no point outside could be the grid's minimum.
 """
 
 import math
@@ -42,6 +48,11 @@ _SERIES_CF_SPLIT = 2.0
 
 # Thresholds on verify_dp_inequality's sweep of [-10 sigma, 10 sigma].
 DP_AUDIT_GRID_POINTS = 2001
+
+# Bound on |q_function(y) - Q(y)| for every y, with wide headroom over the
+# error measured against 50-digit mpmath on [-40, 40] (the tests import it).
+# verify_dp_inequality's window certificate rests on it.
+_Q_ABS_ERR = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +346,20 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta):
 
         Q(t / sigma) <= e^eps * Q((t + delta_2) / sigma) + delta.
 
+    The slack rhs - lhs falls for t below t* = sigma^2 eps / delta_2 -
+    delta_2 / 2 and rises above it (t* = +inf when delta_2 = 0), so only a
+    window of the grid around the point nearest t* is evaluated. It starts
+    at +-4 points and grows 4-fold, up to the whole grid, until each edge
+    inside the grid exceeds the window's minimum by more than
+    2 (e^eps + 1) _Q_ABS_ERR, twice the largest error of a computed slack.
+    Such an edge lies on the outer side of the minimum, where the exact
+    slack only rises outward, so every grid point beyond it computes
+    strictly above the window's minimum. The result,
+    argmin's first-index tie included, is therefore bit for bit that of
+    the full sweep, since q_function works element by element. The
+    certificate needs only that shape and that error bound: a misplaced
+    centre costs time, never bits.
+
     Parameters
     ----------
     delta_2 : float
@@ -353,15 +378,29 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta):
     delta_2 = check_positive(delta_2, "sensitivity", allow_zero=True)
     sigma = check_positive(sigma, "sigma")
     epsilon, delta = _privacy_params(epsilon, delta)
+    e_eps = math.exp(epsilon)
+    margin = 2.0 * (e_eps + 1.0) * _Q_ABS_ERR
+    last = DP_AUDIT_GRID_POINTS - 1
     t = np.linspace(-10.0 * sigma, 10.0 * sigma, DP_AUDIT_GRID_POINTS)
-    lhs, q_shift = q_function(np.stack((t / sigma, (t + delta_2) / sigma)))
-    rhs = math.exp(epsilon) * q_shift + delta
-    slack = rhs - lhs
-    worst = int(np.argmin(slack))
-    min_slack = float(slack[worst])
+    # t* is +inf for delta_2 = 0 and overflows to it for a subnormal
+    # delta_2, so the grid position is clamped before it is rounded
+    t_star = sigma * sigma * epsilon / delta_2 - delta_2 / 2.0 if delta_2 else math.inf
+    centre = round(min(max((t_star / sigma + 10.0) * (last / 20.0), 0.0), last))
+    half = 4
+    while True:
+        lo, hi = max(centre - half, 0), min(centre + half, last) + 1
+        tw = t[lo:hi]
+        lhs, q_shift = q_function(np.stack((tw / sigma, (tw + delta_2) / sigma)))
+        slack = e_eps * q_shift + delta - lhs
+        worst = int(np.argmin(slack))
+        min_slack = float(slack[worst])
+        if ((lo == 0 or slack[0] - min_slack > margin)
+                and (hi > last or slack[-1] - min_slack > margin)):
+            break
+        half *= 4
     return DpCheckResult(
         holds=min_slack >= 0.0,
         min_slack=min_slack,
-        worst_threshold=float(t[worst]),
+        worst_threshold=float(t[lo + worst]),
     )
 

@@ -150,6 +150,20 @@ def _riccati_map(X, A, At, B, Bt, Q, R):
     return At.dot(X).dot(A) - G.T.dot(np.linalg.solve(R + BX.dot(B), G)) + Q
 
 
+def _check_weights(B, Q, R, dual):
+    """check_preconditions' weight checks, for an n x m B; returns the
+    symmetrized weights."""
+    q_name, r_name = ("W", "V") if dual else ("Q", "R")
+    n, m = B.shape
+    Q = _check_symmetric_pd(Q, q_name)
+    R = _check_symmetric_pd(R, r_name)
+    if Q.shape[0] != n:
+        raise ValueError(f"{q_name} must be {n} x {n}, got shape {Q.shape}")
+    if R.shape[0] != m:
+        raise ValueError(f"{r_name} must be {m} x {m}, got shape {R.shape}")
+    return Q, R
+
+
 def check_preconditions(A, B, Q, R, dual=False):
     """Standing assumptions of one Riccati problem on a checked pair (A, B).
 
@@ -159,17 +173,10 @@ def check_preconditions(A, B, Q, R, dual=False):
     (A^T, C^T, W, V) and the errors name W, V and observability. Returns
     the symmetrized weights.
     """
-    q_name, r_name, rank_failure = (("W", "V", "(A, C) is not observable") if dual
-                                    else ("Q", "R", "(A, B) is not controllable"))
-    n, m = B.shape
-    Q = _check_symmetric_pd(Q, q_name)
-    R = _check_symmetric_pd(R, r_name)
-    if Q.shape[0] != n:
-        raise ValueError(f"{q_name} must be {n} x {n}, got shape {Q.shape}")
-    if R.shape[0] != m:
-        raise ValueError(f"{r_name} must be {m} x {m}, got shape {R.shape}")
+    Q, R = _check_weights(B, Q, R, dual)
     if not _full_krylov_rank(A, B):
-        raise AssumptionError(rank_failure)
+        raise AssumptionError("(A, C) is not observable" if dual
+                              else "(A, B) is not controllable")
     return Q, R
 
 
@@ -194,7 +201,7 @@ def _iterate_to_fixed_point(A, B, Q, R):
             raise ConvergenceError(f"iterate not finite at step {iteration}",
                                    iterations=iteration, residual=math.nan)
         if change < CONVERGENCE_RTOL:
-            res = dare_residual_control(X, A, B, Q, R)
+            res = _residual(X, A, At, B, Bt, Q, R)
             if res <= RESIDUAL_RTOL:
                 return X
             raise ConvergenceError(
@@ -202,7 +209,7 @@ def _iterate_to_fixed_point(A, B, Q, R):
                 iterations=iteration,
                 residual=res,
             )
-    res = dare_residual_control(X, A, B, Q, R)
+    res = _residual(X, A, At, B, Bt, Q, R)
     raise ConvergenceError(
         f"no fixed point within {MAX_ITERATIONS} iterations "
         f"(last residual {res:.3e})",
@@ -227,7 +234,7 @@ def solve_dare_control(A, B, Q, R):
     if radius >= 1.0:
         raise ConvergenceError(
             f"closed loop not Schur stable (spectral radius {radius:.6f})",
-            residual=dare_residual_control(K, A, B, Q, R),
+            residual=_residual(K, A, A.T, B, B.T, Q, R),
         )
     return ControlSynthesis(K=K, L=L)
 
@@ -249,23 +256,37 @@ def solve_dare_filter(A, C, W, V):
     return FilterSynthesis(Sigma=Sigma, SigmaBar=SigmaBar, kalman_gain=kalman_gain)
 
 
+def _residual(K, A, At, B, Bt, Q, R):
+    """||map(K) - K||_F / max(||K||_F, ||Q||_F) on checked data, At = A.T
+    and Bt = B.T; a positive definite Q keeps the divisor positive."""
+    defect = _riccati_map(K, A, At, B, Bt, Q, R) - K
+    return _frobenius(defect) / max(_frobenius(K), _frobenius(Q))
+
+
+def _checked_residual(K, A, B, Q, R, dual=False):
+    """_residual after check_preconditions' weight checks (no rank test),
+    computed on Q and R as passed, not on their symmetrized copies."""
+    Q, R = np.asarray(Q, dtype=float), np.asarray(R, dtype=float)
+    _check_weights(B, Q, R, dual)
+    return _residual(np.asarray(K, dtype=float), A, A.T, B, B.T, Q, R)
+
+
 def dare_residual_control(K, A, B, Q, R):
     """Relative fixed-point defect of a regulator Riccati candidate.
 
     ||map(K) - K||_F normalized by max(||K||_F, ||Q||_F), so the zero
     candidate scores 1 against any Q and an exact solution scores ~0.
+    Q and R must be symmetric positive definite, n x n and m x m, as the
+    solver requires (AssumptionError, or ValueError for a wrong size); no
+    rank test is made.
     """
-    K, A, B, Q, R = (np.asarray(M, dtype=float) for M in (K, A, B, Q, R))
-    defect = _riccati_map(K, A, A.T, B, B.T, Q, R) - K
-    # numpy's division, so a zero K and Q give nan rather than ZeroDivisionError
-    return float(np.divide(_frobenius(defect), max(_frobenius(K), _frobenius(Q))))
+    return _checked_residual(K, *_as_pair(A, B), Q, R)
 
 
 def dare_residual_filter(Sigma, A, C, W, V):
     """Relative fixed-point defect of a filter Riccati candidate.
 
-    The regulator's defect on the dual data (A^T, C^T, W, V).
+    The regulator's defect on the dual data (A^T, C^T, W, V); W and V are
+    checked as dare_residual_control checks Q and R.
     """
-    return dare_residual_control(
-        Sigma, np.asarray(A, dtype=float).T, np.asarray(C, dtype=float).T, W, V
-    )
+    return _checked_residual(Sigma, *_dual_pair(A, C), W, V, dual=True)

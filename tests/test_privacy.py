@@ -1,8 +1,9 @@
 """Tests for the Gaussian tail function, calibration factor, and mechanism.
 
 The tail probability Q and its inverse are implemented from scratch in
-dplqg.privacy; here they are cross-checked against scipy.special (and a few
-mpmath spot values at 50 digits) as independent oracles, and selected outputs
+dplqg.privacy; here they are cross-checked against scipy.special and
+50-digit mpmath (spot values, and the absolute error bound the privacy
+audit relies on) as independent oracles, and selected outputs
 are frozen as literals so regressions show up as value changes, not just
 tolerance drift.
 """
@@ -11,12 +12,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
+from dplqg import privacy
 from dplqg.privacy import (
+    _Q_ABS_ERR,
     DP_AUDIT_GRID_POINTS,
     DpCheckResult,
     PrivacySpec,
@@ -57,6 +60,21 @@ def test_q_function_mpmath_spot_values():
     for y in [0.1, 0.5, 1.0, 1.959963984540054, 2.0, 2.5, 4.0, 6.0, 10.0]:
         exact = float(0.5 * mpmath.erfc(mpmath.mpf(y) / mpmath.sqrt(2)))
         assert_allclose(q_function(y), exact, rtol=2e-13)
+
+
+def test_q_function_absolute_error_is_within_the_audit_bound():
+    # verify_dp_inequality's window certificate assumes that every value of
+    # q_function is within _Q_ABS_ERR of Q, on both of its paths.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    seam = 2.0 * math.sqrt(2.0)
+    y = np.concatenate([np.linspace(-40.0, 40.0, 4001),
+                        _ulps_around(seam, 16), _ulps_around(-seam, 16)])
+    exact = np.array([float(0.5 * mpmath.erfc(mpmath.mpf(v) / mpmath.sqrt(2)))
+                      for v in y])
+    assert np.abs(q_function(y) - exact).max() <= _Q_ABS_ERR
+    scalar = np.array([q_function(float(v)) for v in y])
+    assert np.abs(scalar - exact).max() <= _Q_ABS_ERR
 
 
 def test_q_function_frozen_values():
@@ -184,6 +202,20 @@ def test_q_function_is_exact_at_infinity():
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(delta_2=st.floats(0.0, 10.0), sigma=st.floats(1e-3, 100.0),
        epsilon=st.floats(1e-3, 10.0), delta=st.floats(1e-6, 0.5))
+# the audit evaluates a window around t* = sigma^2 eps / delta_2 - delta_2 / 2:
+# delta_2 = 0 puts t* at +inf, and its slack ties at the minimum far to the left
+@example(delta_2=0.0, sigma=1.0, epsilon=0.01, delta=0.001)
+@example(delta_2=0.0, sigma=100.0, epsilon=10.0, delta=1e-6)
+# t* overflows to +inf, or lies far right of the grid
+@example(delta_2=5e-324, sigma=1.0, epsilon=1.0, delta=0.05)
+@example(delta_2=1e-300, sigma=1e-3, epsilon=1e-3, delta=0.5)
+# t* lies left of the grid
+@example(delta_2=10.0, sigma=1e-3, epsilon=1.0, delta=0.05)
+# the largest epsilon drawn, where the certificate's margin is widest
+@example(delta_2=1.0, sigma=1.0, epsilon=10.0, delta=1e-6)
+# design64's calibrated corners, sigma = kappa * delta_2
+@example(delta_2=1.0, sigma=kappa(0.05, 0.6), epsilon=0.6, delta=0.05)
+@example(delta_2=2.5, sigma=2.5 * kappa(0.3, 3.0), epsilon=3.0, delta=0.3)
 def test_audit_matches_two_call_oracle_bit_for_bit(delta_2, sigma, epsilon, delta):
     res = verify_dp_inequality(delta_2, sigma, epsilon, delta)
     holds, min_slack, worst_threshold = _ref_audit(delta_2, sigma, epsilon, delta)
@@ -420,6 +452,26 @@ def test_audit_worst_threshold_is_the_closed_form(epsilon, delta, delta_2):
     spacing = 20.0 * sigma / (DP_AUDIT_GRID_POINTS - 1)
     assert abs(res.worst_threshold - t_star) <= spacing
     assert res.holds
+
+
+def test_audit_evaluates_a_small_window_on_calibrated_inputs(monkeypatch):
+    # A calibrated audit's minimum is certified within a few dozen of the
+    # grid's thresholds; a fall-back to the whole grid would pass the
+    # bit-for-bit oracle test but fail this one.
+    evaluated = []
+
+    def counting_q(y):
+        evaluated.append(np.size(y) // 2)
+        return q_function(y)
+
+    monkeypatch.setattr(privacy, "q_function", counting_q)
+    for eps in [0.01, 0.1, 0.6, 1.0, 3.0, 10.0]:
+        for delta in [1e-6, 0.01, 0.05, 0.3, 0.5]:
+            for delta_2 in [1e-3, 1.0, 100.0]:
+                evaluated.clear()
+                res = verify_dp_inequality(delta_2, kappa(delta, eps) * delta_2, eps, delta)
+                assert res.holds
+                assert 0 < sum(evaluated) <= 64, (eps, delta, delta_2, evaluated)
 
 
 def test_audit_zero_sensitivity_always_holds():

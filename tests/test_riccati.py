@@ -207,6 +207,37 @@ def test_residual_zero_candidate_scores_one():
     assert dare_residual_filter(np.zeros((2, 2)), A, np.eye(2), W, np.eye(2)) == 1.0
 
 
+def test_residuals_check_their_weights_but_not_rank():
+    zero, one = np.zeros((1, 1)), np.eye(1)
+    # K = Q = 0 used to divide 0 by 0 (a RuntimeWarning and nan), and a
+    # negative definite Q was scored like any other
+    with pytest.raises(AssumptionError, match="Q must be positive definite"):
+        dare_residual_control(zero, one, one, zero, one)
+    with pytest.raises(AssumptionError, match="Q must be positive definite"):
+        dare_residual_control(one, one, one, -one, one)
+    with pytest.raises(AssumptionError, match="R must be symmetric"):
+        dare_residual_control(np.eye(2), np.eye(2), np.eye(2), np.eye(2),
+                              [[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="Q must be 2 x 2"):
+        dare_residual_control(np.eye(2), np.eye(2), np.ones((2, 1)), np.eye(3), one)
+    with pytest.raises(AssumptionError, match="V must be positive definite"):
+        dare_residual_filter(one, one, one, one, -one)
+    with pytest.raises(AssumptionError, match="W must be positive definite"):
+        dare_residual_filter(one, one, one, zero, one)
+    # an uncontrollable pair is still scored: there is no rank test
+    assert dare_residual_control(np.eye(2), np.eye(2), np.zeros((2, 1)), np.eye(2),
+                                 one) == 1.0
+    # the defect is computed on the weights as passed, not symmetrized
+    A = np.array([[1.0, 0.1], [0.0, 1.0]])
+    B = np.array([[0.0], [1.0]])
+    Q = np.array([[1.0, 1e-12], [0.0, 1.0]])
+    K = solve_dare_control(A, B, Q, one).K
+    assert (_bits(dare_residual_control(K, A, B, Q, one))
+            == _bits(_ref_dare_residual_control(K, A, B, Q, one)))
+    assert (_bits(dare_residual_filter(K, A.T, B.T, Q, one))
+            == _bits(_ref_dare_residual_control(K, A, B, Q, one)))
+
+
 def test_residual_detects_perturbation():
     one = np.array([[1.0]])
     syn = solve_dare_control(one, one, one, one)
