@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (InapplicableBoundError, check_finite, check_positive, check_square,
                      check_symmetric)
+from .output import fmt
 from .riccati import solve_dare_filter
 
 
@@ -182,16 +183,6 @@ class EntropyBoundReport:
     def kv_lines(self):
         """Flat key = value lines for the text report; the four cap lines
         follow the verdict and the floors only when the condition holds."""
-
-        def fmt(v):
-            if v is None:
-                return "none"
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, tuple):
-                return ", ".join(repr(float(x)) for x in v)
-            return repr(float(v))
-
         keys = (
             "condition_holds", "condition_margin", "variance_floor",
             "posterior_floor_diag", "logdet_covariance", "entropy_bound",

@@ -14,7 +14,9 @@ assumption failure, 4 Riccati non-convergence, 5 entropy cap inapplicable
 traceback.
 
 All outputs are deterministic for a given config and seed: rerunning a verb
-with the same inputs rewrites byte-identical files.
+with the same inputs rewrites byte-identical files. This module holds the
+verbs, the argument parser and the exit codes; the files are written in
+the one text format of dplqg.output.
 """
 
 import argparse
@@ -29,33 +31,15 @@ from .bounds import entropy_bound_report, logdet
 from .config import build_network, load, resolve_costs
 from .errors import AssumptionError, ConfigError, ConvergenceError, check_count
 from .lqg import synthesize
-from .network import (
-    _cells,
-    _fmt,
-    _lockstep,
-    _write_rows,
-    assemble_network,
-    run_simulation,
-    write_messages_csv,
-    write_trace_csv,
-)
+from .network import (assemble_network, average_costs, run_simulation, write_messages_csv,
+                      write_trace_csv)
+from .output import fmt, write_kv, write_matrix, write_rows
 from .privacy import calibrate_sigma
 from .riccati import (dare_residual_control, dare_residual_filter, solve_dare_control,
                       solve_dare_filter)
 
 DEFAULT_SWEEP_GRID = (0.1, 0.3, 0.7, 1.2, 2.0, 3.0)
 DEFAULT_SWEEP_SEEDS = 10
-
-
-def _write_matrix(M, path):
-    with open(path, "w", newline="") as fh:
-        _write_rows(fh, _cells(np.atleast_2d(np.asarray(M, dtype=float))))
-
-
-def _write_kv(lines, path):
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def _out_dir(cfg, override):
@@ -69,21 +53,21 @@ def cmd_synthesize(cfg, out=None, seed=None):
     model, _ = build_network(cfg, seed=seed)
     syn = synthesize(model)
     out_dir = _out_dir(cfg, out)
-    _write_matrix(syn.K, out_dir / "K.csv")
-    _write_matrix(syn.L, out_dir / "L.csv")
-    _write_matrix(syn.Sigma, out_dir / "Sigma.csv")
-    _write_matrix(syn.SigmaBar, out_dir / "SigmaBar.csv")
-    _write_matrix(model.V, out_dir / "V.csv")
+    write_matrix(syn.K, out_dir / "K.csv")
+    write_matrix(syn.L, out_dir / "L.csv")
+    write_matrix(syn.Sigma, out_dir / "Sigma.csv")
+    write_matrix(syn.SigmaBar, out_dir / "SigmaBar.csv")
+    write_matrix(model.V, out_dir / "V.csv")
     closed = model.A + model.B @ syn.L
     lines = [
-        f"control_residual = {_fmt(dare_residual_control(syn.K, model.A, model.B, model.Q, model.R))}",
-        f"filter_residual = {_fmt(dare_residual_filter(syn.Sigma, model.A, model.C, model.W, model.V))}",
-        f"closed_loop_spectral_radius = {_fmt(np.abs(np.linalg.eigvals(closed)).max())}",
-        f"logdet_prediction_cov = {_fmt(logdet(syn.Sigma))}",
+        f"control_residual = {fmt(dare_residual_control(syn.K, model.A, model.B, model.Q, model.R))}",
+        f"filter_residual = {fmt(dare_residual_filter(syn.Sigma, model.A, model.C, model.W, model.V))}",
+        f"closed_loop_spectral_radius = {fmt(np.abs(np.linalg.eigvals(closed)).max())}",
+        f"logdet_prediction_cov = {fmt(logdet(syn.Sigma))}",
     ]
     for i, sigma in enumerate(model.sigmas):
-        lines.append(f"sigma_agent{i} = {_fmt(sigma)}")
-    _write_kv(lines, out_dir / "synthesis_summary.txt")
+        lines.append(f"sigma_agent{i} = {fmt(sigma)}")
+    write_kv(lines, out_dir / "synthesis_summary.txt")
     print(f"wrote synthesis results to {out_dir}")
     return 0
 
@@ -107,11 +91,11 @@ def cmd_simulate(cfg, out=None, steps=None, seed=None):
         f"steps = {trace.horizon}",
         f"seed = {master_seed}",
         f"message_count = {len(trace.messages)}",
-        f"final_avg_cost = {_fmt(trace.avg_cost[-1]) if trace.horizon else 'none'}",
-        f"max_state_norm = {_fmt(max_norm)}",
-        f"logdet_prediction_cov = {_fmt(logdet(syn.Sigma))}",
+        f"final_avg_cost = {fmt(trace.avg_cost[-1] if trace.horizon else None)}",
+        f"max_state_norm = {fmt(max_norm)}",
+        f"logdet_prediction_cov = {fmt(logdet(syn.Sigma))}",
     ]
-    _write_kv(lines, out_dir / "simulate_summary.txt")
+    write_kv(lines, out_dir / "simulate_summary.txt")
     print(f"wrote simulation results to {out_dir}")
     return 0
 
@@ -127,11 +111,10 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     the network, replace(model, sigmas=...), and its one filter solve
     also serves its entropy report. The cost matrices are resolved once,
     the noise streams do not depend on epsilon, and seeds run from the
-    master seed upward, so rows are directly comparable. Each seed runs
-    the whole grid as one lockstep batch (dplqg.network._lockstep), which
-    draws the seed's noise once, and keeps of each run only its final
-    average cost; mean_cost is the mean of those over the seeds, with the
-    bits of one run_simulation per (epsilon, seed).
+    master seed upward, so rows are directly comparable. The final average
+    costs come from dplqg.network.average_costs, which runs the whole grid
+    as one lockstep batch per seed; mean_cost is their mean over the seeds,
+    with the bits of one run_simulation per (epsilon, seed).
     Each row is a dict with keys epsilon, sigma, mean_cost, logdet_cov,
     entropy_bound, condition_margin.
     """
@@ -157,14 +140,9 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
         report = entropy_bound_report(model.A, model.W, model.C, model.V,
                                       Sigma=filt.Sigma)
         members.append((eps, model, filt, report))
-    sigmas = [model.sigmas for _, model, _, _ in members]
-    gains = [filt.kalman_gain for _, _, filt, _ in members]
-    costs = np.empty((len(grid), n_seeds))
-    for j in range(n_seeds):
-        for chunk in _lockstep(base, cfg.agents, horizon, base_seed + j,
-                               control.L, sigmas, gains):
-            pass  # only the last chunk's average costs are kept
-        costs[:, j] = chunk.avg_cost[-1]
+    costs = average_costs(base, cfg.agents, horizon, range(base_seed, base_seed + n_seeds),
+                          control.L, [model.sigmas for _, model, _, _ in members],
+                          [filt.kalman_gain for _, _, filt, _ in members])
     return [
         {
             "epsilon": eps,
@@ -194,7 +172,7 @@ def cmd_sweep_epsilon(cfg, out=None, grid=None, n_seeds=DEFAULT_SWEEP_SEEDS,
     fields = ["epsilon", "sigma", "mean_cost", "logdet_cov",
               "entropy_bound", "condition_margin"]
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        _write_rows(fh, [fields] + [[_fmt(row[f]) for f in fields] for row in rows])
+        write_rows(fh, [fields] + [[fmt(row[f]) for f in fields] for row in rows])
     print(f"wrote sweep results to {out_dir}")
     return 0
 
@@ -207,7 +185,7 @@ def cmd_bound(cfg, out=None):
     path = out_dir / "bound_report.txt"
     report = entropy_bound_report(model.A, model.W, model.C, model.V)
     status = "applicable" if report.condition_holds else "inapplicable"
-    _write_kv([f"status = {status}"] + report.kv_lines(), path)
+    write_kv([f"status = {status}"] + report.kv_lines(), path)
     if not report.condition_holds:
         print(f"entropy cap not applicable "
               f"(margin {report.condition_margin:.6g}); verdict written to {path}")

@@ -2,10 +2,10 @@
 
 The CLI maps each exception type onto a dedicated exit code, so synthesis
 and simulation code should raise the most specific type that applies rather
-than a bare ValueError. The check_* functions write the five shared input
-rules once: finite arrays, square matrices, symmetry within
-1e-10 * max(1, max |M_ij|), finite positive (or >= 0) scalars, and
-integers >= 0 such as seeds and horizons.
+than a bare ValueError. The check_* functions write the shared input rules
+once: finite arrays, square matrices, a square A with a B of as many rows,
+symmetry within 1e-10 * max(1, max |M_ij|), positive definite weights,
+finite positive (or >= 0) scalars, and integers >= 0 such as seeds.
 """
 
 import numpy as np
@@ -63,11 +63,35 @@ def check_square(M, name):
     return M
 
 
+def check_pair(A, B, name="B"):
+    """Square A and a matrix B with as many rows, as float arrays (ValueError)."""
+    A = check_square(A, "A")
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise ValueError(f"{name} must have {A.shape[0]} rows, got shape {B.shape}")
+    return A, B
+
+
 def check_symmetric(M, name, error=ValueError):
     """Raise `error` naming M unless M = M^T within 1e-10 * max(1, max |M_ij|)."""
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * scale):
         raise error(f"{name} must be symmetric")
+
+
+def check_spd(M, name):
+    """M symmetrized; ValueError unless square and finite, AssumptionError
+    naming M unless symmetric positive definite."""
+    M = check_square(M, name)
+    check_finite(M, name)
+    check_symmetric(M, name, AssumptionError)
+    M = 0.5 * (M + M.T)
+    eigs = np.linalg.eigvalsh(M)
+    if eigs.min() <= 0.0:
+        raise AssumptionError(
+            f"{name} must be positive definite (min eigenvalue {eigs.min():.3e})"
+        )
+    return M
 
 
 def check_positive(value, name, allow_zero=False):

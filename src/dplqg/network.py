@@ -18,11 +18,11 @@ model data plus the log, since the replay runs the cloud's own update
 (dplqg.lqg.filter_step). Simulations are bit-reproducible for a given master
 seed (see dplqg.rng for the stream discipline).
 
-Runs advance in lockstep batches (_lockstep): S runs that share the agents,
-the seed and the control gain L, and differ only in their noise scales
-sigma_i and Kalman gain. run_simulation is a batch of one, and the epsilon
-sweep (dplqg.cli.sweep_epsilon) runs one batch per seed over its grid. The
-batch keeps every run's bits, for three reasons:
+Runs advance in lockstep batches: S runs that share the agents, the seed
+and the control gain L, and differ only in their noise scales sigma_i and
+Kalman gain. run_simulation is a batch of one, and average_costs, which the
+epsilon sweep (dplqg.cli.sweep_epsilon) calls, one batch per seed over its
+grid. The batch keeps every run's bits, for three reasons:
 
 * a per-run matrix-vector kernel: the state is held as (S, n, 1) columns and
   every product is an np.matmul M @ X, with M shared (n, n), per run
@@ -49,10 +49,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_count, check_finite
+from .errors import check_count, check_finite, check_pair, check_spd
 from .lqg import filter_step, incremental_cost, synthesize
+from .output import cells, write_rows
 from .privacy import PrivacySpec, calibrate_sigma
-from .riccati import _as_pair, _check_symmetric_pd, check_preconditions
+from .riccati import check_preconditions
 from .rng import INIT_STATE, PRIVACY_NOISE, PROCESS_NOISE, derive_stream, psd_factor
 
 MEASUREMENT = "measurement"
@@ -97,7 +98,7 @@ class AgentModel:
     x0_cov: np.ndarray = None
 
     def __post_init__(self):
-        A, B = _as_pair(self.A, self.B)
+        A, B = check_pair(self.A, self.B)
         n = A.shape[0]
         if n == 0:
             raise ValueError("A must have at least one state, got shape (0, 0)")
@@ -114,7 +115,7 @@ class AgentModel:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
             check_finite(value, name)
             object.__setattr__(self, name, value)
-        _check_symmetric_pd(self.W, "W")
+        check_spd(self.W, "W")
         if self.x0_cov is not None:
             try:
                 psd_factor(self.x0_cov)
@@ -368,10 +369,10 @@ def _agent_runs(agents, model):
             for r, (n, m) in runs]
 
 
-def _check_agents(model, agents, horizon, seed):
-    """The agents as a list, once they, the horizon and the seed are
+def _check_agents(model, agents, horizon, seeds):
+    """The agents as a list, once they, the horizon and the seeds are
     checked: as many agents as the model's, each of the model's (n_i, m_i),
-    and a horizon and seed that are integers >= 0 (errors.check_count). A
+    and a horizon and seeds that are integers >= 0 (errors.check_count). A
     mismatch raises ValueError naming the agent."""
     agents = list(agents)
     if len(agents) != model.n_agents:
@@ -384,21 +385,22 @@ def _check_agents(model, agents, horizon, seed):
             raise ValueError(f"agent {i} has (n, m) = ({ag.n}, {ag.m}), but the "
                              f"model was assembled with ({dims[0]}, {dims[1]})")
     check_count(horizon, "horizon")
-    check_count(seed, "seed")
+    for seed in seeds:
+        check_count(seed, "seed")
     return agents
 
 
 def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     """Advance S closed-loop runs in lockstep; yield their rows as _Chunks.
 
-    The runs share model's agents, dynamics and cost, the master seed and
-    the control gain L. Run j publishes with noise scales sigmas[j] (one
-    per agent) and filters with Kalman gain gains[j]. Run j's rows are
-    bit-equal to those of run_simulation on its own model and synthesis;
-    the module docstring says why. Chunks come SIM_CHUNK_STEPS steps at a
-    time, and avg_cost is the running mean of stage costs from step 0.
+    The runs share model's agents (a list that _check_agents has passed),
+    dynamics and cost, the master seed and the control gain L. Run j
+    publishes with noise scales sigmas[j] (one per agent) and filters with
+    Kalman gain gains[j]. Run j's rows are bit-equal to those of
+    run_simulation on its own model and synthesis; the module docstring
+    says why. Chunks come SIM_CHUNK_STEPS steps at a time, and avg_cost is
+    the running mean of stage costs from step 0.
     """
-    agents = _check_agents(model, agents, horizon, seed)
     gains = np.asarray(gains, dtype=float)
     n_runs, n, m, N = len(gains), model.n, model.m, len(agents)
     A, B, C = model.A, model.B, model.C
@@ -477,7 +479,7 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     model's, and a horizon or seed that is not an integer >= 0, raise
     ValueError.
     """
-    agents = _check_agents(model, agents, horizon, seed)
+    agents = _check_agents(model, agents, horizon, [seed])
     if synthesis is None:
         synthesis = synthesize(model)
     n, m = model.n, model.m
@@ -494,6 +496,23 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     )
 
 
+def average_costs(model, agents, horizon, seeds, L, sigmas, gains):
+    """The (S, len(seeds)) final average costs of S runs per master seed.
+
+    Entry [j, s] has the bits of run_simulation(...).avg_cost[-1] under
+    seeds[s] for run j, which publishes with noise scales sigmas[j] and
+    applies the gains L and gains[j]. Each seed is one lockstep batch, which
+    draws its noise once. Inputs are checked as run_simulation checks them.
+    A horizon of 0 gives NaN, the mean of no stage costs.
+    """
+    agents = _check_agents(model, agents, horizon, seeds)
+    costs = np.full((len(gains), len(seeds)), np.nan)
+    for s, seed in enumerate(seeds):
+        for chunk in _lockstep(model, agents, horizon, seed, L, sigmas, gains):
+            costs[:, s] = chunk.avg_cost[-1]
+    return costs
+
+
 def eavesdropper_view(trace):
     """The wire log and nothing else: what a passive listener knows."""
     return trace.messages
@@ -507,7 +526,8 @@ def replay_estimates(messages, model, filter_synthesis, x_hat0):
     matrices (A, B, C), the filter gain (derivable from A, C, W, V without
     the secret Q and R), the public prior, and the log. The replay runs the
     cloud's own filter_step, so the result matches the cloud's xhat
-    sequence bit for bit. Returns a (T, n) array.
+    sequence bit for bit. Returns a (T, n) array. An x_hat0 that is not
+    a finite vector of shape (n,) raises ValueError.
     """
     log = messages if isinstance(messages, WireLog) else WireLog.from_messages(
         messages, model)
@@ -516,6 +536,9 @@ def replay_estimates(messages, model, filter_synthesis, x_hat0):
     A, B, C = model.A, model.B, model.C
     gain = filter_synthesis.kalman_gain
     x_hat = np.asarray(x_hat0, dtype=float)
+    if x_hat.shape != (model.n,):
+        raise ValueError(f"x_hat0 must have shape ({model.n},), got {x_hat.shape}")
+    check_finite(x_hat, "x_hat0")
     out = np.empty((log.horizon, model.n))
     for k in range(log.horizon):
         if k > 0:
@@ -525,34 +548,12 @@ def replay_estimates(messages, model, filter_synthesis, x_hat0):
 
 
 # ----------------------------------------------------------------------
-# CSV serialization
+# Wire log CSV (the float format and row bytes are dplqg.output's)
 # ----------------------------------------------------------------------
 
 # Steps formatted per write: few enough that the cell strings of one batch
 # stay small next to the trace, many enough to amortize the per-batch calls.
 CSV_BATCH_STEPS = 256
-
-
-def _fmt(value):
-    return repr(float(value))
-
-
-def _cells(block):
-    """The repr of each float of a 2-D array, one list of strings per row,
-    made as the rows are consumed."""
-    return (list(map(repr, row)) for row in block.tolist())
-
-
-def _write_rows(fh, rows):
-    """Write rows of cell strings, each joined by commas and ended by CRLF.
-
-    These are the bytes csv.writer writes in its default (excel) dialect,
-    which quotes only a cell holding a comma, a quote or a line break, or a
-    row that is one empty cell. No cell here needs that: the cells are
-    float reprs, step and agent numbers, names and empty padding, and a row
-    with one cell holds a float.
-    """
-    fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _padding(widths, width):
@@ -582,19 +583,19 @@ def write_trace_csv(trace, path):
     pad_x, pad_u = _padding(trace.state_dims, p), _padding(trace.input_dims, q)
     layout = [(str(i), *cols[i::N], pad_x[i], pad_u[i]) for i in range(N)]
     with open(path, "w", newline="") as fh:
-        _write_rows(fh, [header])
+        write_rows(fh, [header])
         for k0 in range(0, trace.horizon, CSV_BATCH_STEPS):
             steps = slice(k0, k0 + CSV_BATCH_STEPS)
             block = np.column_stack([a[steps] for a in (
                 trace.x, trace.x_hat, trace.u, trace.y_bar,
                 trace.stage_cost, trace.avg_cost)])
             rows = []
-            for j, cells in enumerate(_cells(block)):
-                k, costs = str(k0 + j), cells[-2:]
+            for j, text in enumerate(cells(block)):
+                k, costs = str(k0 + j), text[-2:]
                 for i, x, x_hat, u, y_bar, px, pu in layout:
-                    rows.append([k, i, *cells[x], *px, *cells[x_hat], *px,
-                                 *cells[u], *pu, *cells[y_bar], *px, *costs])
-            _write_rows(fh, rows)
+                    rows.append([k, i, *text[x], *px, *text[x_hat], *px,
+                                 *text[u], *pu, *text[y_bar], *px, *costs])
+            write_rows(fh, rows)
 
 
 def write_messages_csv(log, path):
@@ -610,14 +611,14 @@ def write_messages_csv(log, path):
     # message r's payload is slice r of the step's [y_bar | u] row
     layout = list(zip(log._slots, _slices(widths), _padding(widths, width)))
     with open(path, "w", newline="") as fh:
-        _write_rows(fh, [["kind", "sender", "receiver", "k"]
-                         + [f"payload{j}" for j in range(width)]])
+        write_rows(fh, [["kind", "sender", "receiver", "k"]
+                        + [f"payload{j}" for j in range(width)]])
         for k0 in range(0, log.horizon, CSV_BATCH_STEPS):
             steps = slice(k0, k0 + CSV_BATCH_STEPS)
             rows = []
-            for j, cells in enumerate(_cells(np.hstack((log.y_bar[steps],
-                                                        log.u[steps])))):
+            for j, text in enumerate(cells(np.hstack((log.y_bar[steps],
+                                                       log.u[steps])))):
                 k = str(k0 + j)
                 for slot, s, pad in layout:
-                    rows.append([*slot, k, *cells[s], *pad])
-            _write_rows(fh, rows)
+                    rows.append([*slot, k, *text[s], *pad])
+            write_rows(fh, rows)

@@ -153,7 +153,8 @@ def _erfc_cf_vec(x):
         np.divide(1.0, d, out=d)
         np.multiply(c, d, out=delta)
         np.multiply(f, delta, out=f)
-    return _INV_SQRT_PI * np.exp(-x * x) * f
+    with np.errstate(over="ignore"):  # x * x = inf gives the right 0
+        return _INV_SQRT_PI * np.exp(-x * x) * f
 
 
 def _q_scalar(y):
@@ -367,7 +368,8 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta):
     sigma : float
         Noise standard deviation, finite and > 0.
     epsilon, delta : float
-        Privacy parameters; epsilon finite and > 0, 0 < delta <= 1/2.
+        Privacy parameters: 0 < delta <= 1/2, and 0 < epsilon <= ~709.78,
+        where e^epsilon still is a double (ValueError above).
 
     Returns
     -------
@@ -378,7 +380,10 @@ def verify_dp_inequality(delta_2, sigma, epsilon, delta):
     delta_2 = check_positive(delta_2, "sensitivity", allow_zero=True)
     sigma = check_positive(sigma, "sigma")
     epsilon, delta = _privacy_params(epsilon, delta)
-    e_eps = math.exp(epsilon)
+    try:
+        e_eps = math.exp(epsilon)
+    except OverflowError:
+        raise ValueError(f"e^epsilon overflows a double at epsilon = {epsilon}") from None
     margin = 2.0 * (e_eps + 1.0) * _Q_ABS_ERR
     last = DP_AUDIT_GRID_POINTS - 1
     t = np.linspace(-10.0 * sigma, 10.0 * sigma, DP_AUDIT_GRID_POINTS)

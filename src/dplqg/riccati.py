@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AssumptionError, ConvergenceError, check_finite, check_square,
-                     check_symmetric)
+from .errors import AssumptionError, ConvergenceError, check_pair, check_spd, check_square
 
 MAX_ITERATIONS = 100_000
 CONVERGENCE_RTOL = 1e-12
@@ -68,32 +67,10 @@ class FilterSynthesis:
     kalman_gain: np.ndarray
 
 
-def _as_pair(A, B, name="B"):
-    """Square A and a matrix B with as many rows, as float arrays."""
-    A = check_square(A, "A")
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise ValueError(f"{name} must have {A.shape[0]} rows, got shape {B.shape}")
-    return A, B
-
-
 def _dual_pair(A, C):
     """(A^T, C^T) for a square A and a q x n output matrix C."""
     A = check_square(A, "A")
-    return _as_pair(A.T, np.asarray(C, dtype=float).T, "C^T")
-
-
-def _check_symmetric_pd(M, name):
-    M = check_square(M, name)
-    check_finite(M, name)
-    check_symmetric(M, name, AssumptionError)
-    M = 0.5 * (M + M.T)
-    eigs = np.linalg.eigvalsh(M)
-    if eigs.min() <= 0.0:
-        raise AssumptionError(
-            f"{name} must be positive definite (min eigenvalue {eigs.min():.3e})"
-        )
-    return M
+    return check_pair(A.T, np.asarray(C, dtype=float).T, "C^T")
 
 
 def _staircase_rank(blocks):
@@ -126,7 +103,7 @@ def _full_krylov_rank(A, B):
 
 def is_controllable(A, B):
     """Rank test on [B, AB, ..., A^{n-1} B] with relative tolerance 1e-8."""
-    return _full_krylov_rank(*_as_pair(A, B))
+    return _full_krylov_rank(*check_pair(A, B))
 
 
 def is_observable(A, C):
@@ -155,8 +132,8 @@ def _check_weights(B, Q, R, dual):
     symmetrized weights."""
     q_name, r_name = ("W", "V") if dual else ("Q", "R")
     n, m = B.shape
-    Q = _check_symmetric_pd(Q, q_name)
-    R = _check_symmetric_pd(R, r_name)
+    Q = check_spd(Q, q_name)
+    R = check_spd(R, r_name)
     if Q.shape[0] != n:
         raise ValueError(f"{q_name} must be {n} x {n}, got shape {Q.shape}")
     if R.shape[0] != m:
@@ -225,7 +202,7 @@ def solve_dare_control(A, B, Q, R):
     violations raise AssumptionError naming the failed condition. The
     returned closed loop A + B L is verified Schur stable.
     """
-    A, B = _as_pair(A, B)
+    A, B = check_pair(A, B)
     Q, R = check_preconditions(A, B, Q, R)
     K = _iterate_to_fixed_point(A, B, Q, R)
     L = -np.linalg.solve(R + B.T @ K @ B, B.T @ K @ A)
@@ -280,7 +257,7 @@ def dare_residual_control(K, A, B, Q, R):
     solver requires (AssumptionError, or ValueError for a wrong size); no
     rank test is made.
     """
-    return _checked_residual(K, *_as_pair(A, B), Q, R)
+    return _checked_residual(K, *check_pair(A, B), Q, R)
 
 
 def dare_residual_filter(Sigma, A, C, W, V):

@@ -366,10 +366,10 @@ def test_sweep_solves_control_once_and_filter_once_per_epsilon(monkeypatch):
                      "solve_dare_filter": len(DEFAULT_SWEEP_GRID)}
 
 
-def _reference_sweep(cfg, grid, n_seeds, steps):
+def _reference_sweep(cfg, grid, n_seeds, steps, seed):
     """The sweep as one run_simulation per (epsilon, seed), kept as the
     oracle for sweep_epsilon's rows."""
-    Q, R = resolve_costs(cfg, seed=cfg.seed)
+    Q, R = resolve_costs(cfg, seed=seed)
     rows = []
     for eps in grid:
         agents = [replace(ag, privacy=replace(ag.privacy, epsilon=eps))
@@ -378,7 +378,7 @@ def _reference_sweep(cfg, grid, n_seeds, steps):
         syn = synthesize(model)
         report = entropy_bound_report(model.A, model.W, model.C, model.V,
                                       Sigma=syn.Sigma)
-        costs = [run_simulation(model, agents, steps, cfg.seed + j,
+        costs = [run_simulation(model, agents, steps, seed + j,
                                 synthesis=syn).avg_cost[-1]
                  for j in range(n_seeds)]
         rows.append({
@@ -396,14 +396,17 @@ def _reference_sweep(cfg, grid, n_seeds, steps):
 
 def test_sweep_rows_match_one_run_per_epsilon_and_seed():
     # One lockstep batch per seed must give every row the bits of the
-    # per-(epsilon, seed) runs, across a chunk boundary.
+    # per-(epsilon, seed) runs, across a chunk boundary, from the config's
+    # master seed and from an override.
     cfg = load(CONFIG_DIR / "sweep_4agent.json")
     grid, steps = [0.05, 0.5, 5.0], SIM_CHUNK_STEPS + 1
-    rows = sweep_epsilon(cfg, grid, n_seeds=3, steps=steps)
-    expected = _reference_sweep(cfg, grid, 3, steps)
-    assert [list(row) for row in rows] == [list(row) for row in expected]
-    assert ([[repr(v) for v in row.values()] for row in rows]
-            == [[repr(v) for v in row.values()] for row in expected])
+    for seed in (None, 20):
+        rows = sweep_epsilon(cfg, grid, n_seeds=3, steps=steps, seed=seed)
+        expected = _reference_sweep(cfg, grid, 3, steps,
+                                    cfg.seed if seed is None else seed)
+        assert [list(row) for row in rows] == [list(row) for row in expected]
+        assert ([[repr(v) for v in row.values()] for row in rows]
+                == [[repr(v) for v in row.values()] for row in expected])
 
 
 def test_sweep_draws_each_seeds_noise_once(monkeypatch):

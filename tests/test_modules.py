@@ -1,0 +1,48 @@
+"""Module boundaries: no module of the package imports another's private
+(underscore) name, so each decision sits behind its module's public calls."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dplqg"
+
+
+def _private_imports(path):
+    """(line, module, name) of each `from .mod import _name` or
+    `from dplqg.mod import _name` in a source file; dunders are public."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not (node.level > 0 or module == "dplqg" or module.startswith("dplqg.")):
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append((node.lineno, "." * node.level + module, name))
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 10
+    offenders = [f"{path.name}:{line}: from {module} import {name}"
+                 for path in sources for line, module, name in _private_imports(path)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_private_imports_are_found(tmp_path):
+    # the check itself: each spelling of a private import is caught, and
+    # public names, dunders and other packages' names pass
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .network import _lockstep, run_simulation\n"
+        "from dplqg.riccati import _as_pair as pair\n"
+        "from . import _private\n"
+        "from .output import __all__\n"
+        "from numpy import _globals\n"
+    )
+    assert _private_imports(source) == [(1, ".network", "_lockstep"),
+                                        (2, "dplqg.riccati", "_as_pair"),
+                                        (3, ".", "_private")]

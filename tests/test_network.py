@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dplqg.bounds import logdet
-from dplqg.cli import _write_matrix
 from dplqg.errors import AssumptionError
 from dplqg.lqg import filter_step, synthesize
 from dplqg.network import (
@@ -27,12 +26,14 @@ from dplqg.network import (
     WireLog,
     _lockstep,
     assemble_network,
+    average_costs,
     eavesdropper_view,
     replay_estimates,
     run_simulation,
     write_messages_csv,
     write_trace_csv,
 )
+from dplqg.output import write_matrix
 from dplqg.privacy import PrivacySpec, calibrate_sigma
 from dplqg.riccati import solve_dare_filter
 from dplqg.rng import (
@@ -288,23 +289,35 @@ def test_horizon_zero_and_agent_mismatch():
     empty = run_simulation(model, agents, horizon=0, seed=1)
     assert empty.x.shape == (0, 4)
     assert len(empty.messages) == 0
-    with pytest.raises(ValueError):
-        run_simulation(model, agents[:1], horizon=5, seed=1)
-    with pytest.raises(ValueError):
-        run_simulation(model, agents, horizon=-1, seed=1)
-    # a horizon or seed is an integer >= 0, never truncated or converted
-    for horizon, seed in ((2.7, 1), ("12", 1), (True, 1), (5, 2.7), (5, -1)):
-        with pytest.raises(ValueError, match="must be an integer >= 0"):
-            run_simulation(model, agents, horizon=horizon, seed=seed)
-    # an agent of other (n_i, m_i) than the model's is named, not broadcast
-    three_states = AgentModel(
-        A=np.eye(3), B=np.eye(3)[:, -1:], C=np.eye(3), W=np.eye(3),
-        privacy=PrivacySpec(1.0, 0.1), x0_mean=np.zeros(3),
-    )
-    two_inputs = replace(agents[1], B=np.eye(2))
-    for other in (three_states, two_inputs):
-        with pytest.raises(ValueError, match="agent 1 has"):
-            run_simulation(model, [agents[0], other], horizon=5, seed=1)
+    syn = synthesize(model)
+
+    def single(agents, horizon, seed):
+        return run_simulation(model, agents, horizon=horizon, seed=seed)
+
+    def batch(agents, horizon, seed):  # checked as run_simulation checks
+        return average_costs(model, agents, horizon, [7, seed], syn.L,
+                             [model.sigmas], [syn.kalman_gain])
+
+    # a horizon of 0 has no stage costs to average
+    assert np.isnan(batch(agents, 0, 1)).all()
+    for run in (single, batch):
+        with pytest.raises(ValueError):
+            run(agents[:1], 5, 1)
+        with pytest.raises(ValueError):
+            run(agents, -1, 1)
+        # a horizon or seed is an integer >= 0, never truncated or converted
+        for horizon, seed in ((2.7, 1), ("12", 1), (True, 1), (5, 2.7), (5, -1)):
+            with pytest.raises(ValueError, match="must be an integer >= 0"):
+                run(agents, horizon, seed)
+        # an agent of other (n_i, m_i) than the model's is named, not broadcast
+        three_states = AgentModel(
+            A=np.eye(3), B=np.eye(3)[:, -1:], C=np.eye(3), W=np.eye(3),
+            privacy=PrivacySpec(1.0, 0.1), x0_mean=np.zeros(3),
+        )
+        two_inputs = replace(agents[1], B=np.eye(2))
+        for other in (three_states, two_inputs):
+            with pytest.raises(ValueError, match="agent 1 has"):
+                run([agents[0], other], 5, 1)
 
 
 def test_x0_true_and_x0_cov_initialization():
@@ -404,6 +417,19 @@ def test_replay_rejects_unknown_message_kind(corrupt):
     bogus = corrupt(list(trace.messages))
     with pytest.raises(ValueError):
         replay_estimates(bogus, model, syn.filter, trace.x_hat0)
+
+
+def test_replay_rejects_a_bad_prior():
+    # The public prior is one finite vector of the model's n states: a (1,)
+    # prior must not broadcast over them, on a log of any length.
+    model, agents = _two_agent_setup()
+    syn = synthesize(model)
+    for horizon in (0, 1, 3):
+        log = run_simulation(model, agents, horizon, seed=2, synthesis=syn).messages
+        for prior in ([5.0], np.zeros((4, 1)), np.zeros(5), [0.0, np.nan, 0.0, 0.0],
+                      [np.inf, 0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="x_hat0"):
+                replay_estimates(log, model, syn.filter, prior)
 
 
 def test_replay_rejects_a_log_of_other_agents():
@@ -631,20 +657,24 @@ def test_whole_horizon_draws_match_per_step_oracle(net, horizon, seed):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(net=_noisy_networks(),
        epsilons=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=4),
-       horizon=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
-@example(net=_interleaved_network(), epsilons=[0.3, 2.5], horizon=25, seed=9)
+       horizon=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       other_seed=st.integers(0, 2**32 - 1))
+@example(net=_interleaved_network(), epsilons=[0.3, 2.5], horizon=25, seed=9,
+         other_seed=9)
 @example(net=_interleaved_network(), epsilons=[0.5, 0.2, 3.0, 1.0],
-         horizon=SIM_CHUNK_STEPS - 1, seed=4)
+         horizon=SIM_CHUNK_STEPS - 1, seed=4, other_seed=5)
 @example(net=_interleaved_network(), epsilons=[2.0, 0.7, 0.3],
-         horizon=SIM_CHUNK_STEPS, seed=5)
+         horizon=SIM_CHUNK_STEPS, seed=5, other_seed=0)
 @example(net=_interleaved_network(), epsilons=[0.4, 1.5],
-         horizon=SIM_CHUNK_STEPS + 1, seed=6)
+         horizon=SIM_CHUNK_STEPS + 1, seed=6, other_seed=2**32 - 1)
 @example(net=_interleaved_network(), epsilons=[1.1, 0.25],
-         horizon=2 * SIM_CHUNK_STEPS + 9, seed=7)
-def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed):
+         horizon=2 * SIM_CHUNK_STEPS + 9, seed=7, other_seed=3)
+def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed, other_seed):
     # A batch of runs that share one seed, each at its own epsilon and so
     # with its own sigma and Kalman gain, must give every run the bits of
-    # that run alone, across chunk boundaries too.
+    # that run alone, across chunk boundaries too. average_costs runs one
+    # such batch per seed, in the order given, and keeps each run's final
+    # average cost with the bits of run_simulation's.
     model, agents = net
     members = []
     for eps in epsilons:
@@ -652,10 +682,13 @@ def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed):
                       for ag in agents]
         run_model = assemble_network(run_agents, model.Q, model.R)
         members.append((run_model, run_agents, synthesize(run_model)))
-    chunks = list(_lockstep(model, agents, horizon, seed, synthesize(model).L,
-                            [m.sigmas for m, _, _ in members],
-                            [syn.kalman_gain for _, _, syn in members]))
+    L = synthesize(model).L
+    sigmas = [m.sigmas for m, _, _ in members]
+    gains = [syn.kalman_gain for _, _, syn in members]
+    chunks = list(_lockstep(model, agents, horizon, seed, L, sigmas, gains))
     assert [c.steps.start for c in chunks] == list(range(0, horizon, SIM_CHUNK_STEPS))
+    costs = average_costs(model, agents, horizon, [seed, other_seed], L, sigmas, gains)
+    assert costs.shape == (len(epsilons), 2)
     for j, (run_model, run_agents, syn) in enumerate(members):
         expected = _reference_simulation(run_model, run_agents, horizon, seed, syn)
         for name, value in expected.items():
@@ -663,6 +696,12 @@ def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed):
                 rows = [getattr(c, name)[:, j] for c in chunks]
                 got = np.concatenate(rows) if rows else value[:0]
                 assert np.array_equal(got, value), (j, name)
+        if horizon:
+            other = run_simulation(run_model, run_agents, horizon, other_seed, synthesis=syn)
+            assert np.array_equal(costs[j], [expected["avg_cost"][-1],
+                                             other.avg_cost[-1]]), j
+        else:
+            assert np.isnan(costs[j]).all()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -797,7 +836,7 @@ def _reference_messages_csv(log, path):
 
 
 def _reference_matrix_csv(M, path):
-    """The per-cell matrix writer, kept as the oracle for cli._write_matrix."""
+    """The per-cell matrix writer, kept as the oracle for output.write_matrix."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in np.atleast_2d(np.asarray(M, dtype=float)):
@@ -843,8 +882,8 @@ def test_csv_writers_match_per_cell_oracle(trace, tmp_path_factory):
     for write, reference, data in (
             (write_trace_csv, _reference_trace_csv, trace),
             (write_messages_csv, _reference_messages_csv, trace.messages),
-            (_write_matrix, _reference_matrix_csv, trace.x),
-            (_write_matrix, _reference_matrix_csv, trace.x_hat0)):
+            (write_matrix, _reference_matrix_csv, trace.x),
+            (write_matrix, _reference_matrix_csv, trace.x_hat0)):
         write(data, out / "new.csv")
         reference(data, out / "reference.csv")
         assert (out / "new.csv").read_bytes() == (out / "reference.csv").read_bytes(), \

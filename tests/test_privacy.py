@@ -9,6 +9,7 @@ tolerance drift.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -216,9 +217,15 @@ def test_q_function_is_exact_at_infinity():
 # design64's calibrated corners, sigma = kappa * delta_2
 @example(delta_2=1.0, sigma=kappa(0.05, 0.6), epsilon=0.6, delta=0.05)
 @example(delta_2=2.5, sigma=2.5 * kappa(0.3, 3.0), epsilon=3.0, delta=0.3)
+# (t + delta_2) / sigma is so large that its square overflows, where Q is 0
+@example(delta_2=1.0, sigma=1e-160, epsilon=1.0, delta=0.05)
+@example(delta_2=1e-10, sigma=1e-300, epsilon=1.0, delta=0.05)
+# the largest epsilon whose e^epsilon is a double
+@example(delta_2=1.0, sigma=1.0, epsilon=math.log(sys.float_info.max), delta=0.05)
 def test_audit_matches_two_call_oracle_bit_for_bit(delta_2, sigma, epsilon, delta):
     res = verify_dp_inequality(delta_2, sigma, epsilon, delta)
-    holds, min_slack, worst_threshold = _ref_audit(delta_2, sigma, epsilon, delta)
+    with np.errstate(over="ignore"):  # the oracle squares a huge argument
+        holds, min_slack, worst_threshold = _ref_audit(delta_2, sigma, epsilon, delta)
     assert res.holds == holds
     assert np.array_equal(_bits([res.min_slack, res.worst_threshold]),
                           _bits([min_slack, worst_threshold]))
@@ -492,4 +499,15 @@ def test_audit_validates_arguments():
         verify_dp_inequality(1.0, math.inf, 1.0, 0.1)
     with pytest.raises(ValueError, match="sensitivity must be >= 0"):
         verify_dp_inequality(math.inf, 1.0, 1.0, 0.1)
+
+
+def test_audit_rejects_an_epsilon_whose_exponential_overflows():
+    # PrivacySpec and kappa accept any finite epsilon, but the audit weighs
+    # a tail by e^epsilon, which is no double above log(max double)
+    largest = math.log(sys.float_info.max)
+    assert verify_dp_inequality(1.0, 1.0, largest, 0.05).holds
+    for epsilon in (math.nextafter(largest, math.inf), 800.0, 1e300):
+        assert kappa(0.05, epsilon) > 0.0
+        with pytest.raises(ValueError, match="epsilon"):
+            verify_dp_inequality(1.0, 1.0, epsilon, 0.05)
 

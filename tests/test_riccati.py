@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, solve_discrete_are
 
 import dplqg.riccati as riccati
-from dplqg.errors import AssumptionError, ConvergenceError
+from dplqg.errors import AssumptionError, ConvergenceError, check_pair
 from dplqg.riccati import (
     ControlSynthesis,
     FilterSynthesis,
@@ -466,7 +466,7 @@ def _checked_problem(rng, n, m, dual):
     if dual:  # the m x n output map C is B's transpose
         A, B = riccati._dual_pair(A, np.ascontiguousarray(B.T))
     else:
-        A, B = riccati._as_pair(A, B)
+        A, B = check_pair(A, B)
     Q, R = riccati.check_preconditions(A, B, Q, R, dual=dual)
     return A, B, Q, R
 
