@@ -2,8 +2,9 @@
 
 Each agent publishes only noisy measurements; the cloud filters them and
 sends inputs back. The script runs the loop, prints cost and estimation
-summaries, then plays the eavesdropper: everything the wire log reveals
-(the cloud's estimates, exactly) and what it does not (the true states).
+summaries, publishes the wire log as messages.csv in the working directory,
+then plays the eavesdropper on those bytes: everything the log reveals (the
+cloud's estimates, exactly) and what it does not (the true states).
 """
 
 import numpy as np
@@ -12,10 +13,11 @@ from dplqg import (
     AgentModel,
     PrivacySpec,
     assemble_network,
-    eavesdropper_view,
+    read_messages_csv,
     replay_estimates,
     run_simulation,
     synthesize,
+    write_messages_csv,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -60,16 +62,15 @@ print("budget at work.")
 print()
 print("Eavesdropper replay")
 print("-------------------")
-log = eavesdropper_view(trace)
+write_messages_csv(trace.messages, "messages.csv")
+log = read_messages_csv("messages.csv", model)
 replayed = replay_estimates(log, model, syn.filter, trace.x_hat0)
-print("estimates reconstructed from the wire log alone, bit for bit:",
-      np.array_equal(replayed, trace.x_hat))
+print("estimates reconstructed from the published messages.csv alone,")
+print("bit for bit:", np.array_equal(replayed, trace.x_hat))
 
 true_vals = set(trace.x.ravel().tolist())
-wire_vals = set()
-for msg in log:
-    wire_vals.update(msg.payload.ravel().tolist())
-print("true state values appearing anywhere on the wire:",
+wire_vals = set(log.y_bar.ravel().tolist()) | set(log.u.ravel().tolist())
+print("true state values appearing anywhere in messages.csv:",
       len(true_vals & wire_vals))
 print()
 print("The leak is exactly the estimate sequence, never the states: what the")

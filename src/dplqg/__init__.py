@@ -38,6 +38,7 @@ from .network import (
     WireMessage,
     assemble_network,
     eavesdropper_view,
+    read_messages_csv,
     replay_estimates,
     run_simulation,
     write_messages_csv,
@@ -107,6 +108,7 @@ __all__ = [
     "psd_factor",
     "q_function",
     "q_inverse",
+    "read_messages_csv",
     "replay_estimates",
     "run_simulation",
     "sensitivity_bound",

@@ -10,8 +10,10 @@ Protocol per step k (all agents, then the cloud, then all agents):
 4. every agent steps x_i(k+1) = A_i x_i(k) + B_i u_i(k) + w_i(k).
 
 The wire log is the trace's y_bar and u arrays; trace.messages views them
-as WireMessages in protocol order, built on demand. The eavesdropper's
-knowledge is exactly that log. True states, process noise, and the cost
+as WireMessages in protocol order, built on demand. It is published as
+messages.csv by write_messages_csv, and read_messages_csv, beside it, parses
+those bytes back into the same log bit for bit. The eavesdropper's knowledge
+is exactly that published log: true states, process noise, and the cost
 matrices Q and R never appear in it. replay_estimates shows what the log
 leaks: the cloud's entire estimate sequence is reconstructible from public
 model data plus the log, since the replay runs the cloud's own update
@@ -49,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_count, check_finite, check_pair, check_spd
+from .errors import check_count, check_finite, check_pair, check_positive, check_spd
 from .lqg import filter_step, incremental_cost, synthesize
 from .output import cells, write_rows
 from .privacy import PrivacySpec, calibrate_sigma
@@ -240,44 +242,6 @@ class WireLog(Sequence):
         self._slots = _step_slots(len(self.state_dims))
         self._slices = _slices(self.state_dims) + _slices(self.input_dims)
 
-    @classmethod
-    def from_messages(cls, messages, model):
-        """Parse WireMessages, in any order, into the log of `model`'s agents.
-
-        Raises ValueError for a (kind, sender, receiver) that is not one of
-        the network's 2 N, a step that is not an integer >= 0, a payload not
-        shaped like the agent's slice, and a (k, kind, agent) entry that is
-        duplicated or missing from steps 0..max k.
-        """
-        N = model.n_agents
-        slot_of = {slot: r for r, slot in enumerate(_step_slots(N))}
-        widths = model.state_dims + model.input_dims
-        payloads = {}
-        for msg in messages:
-            r = slot_of.get((msg.kind, msg.sender, msg.receiver))
-            if r is None:
-                raise ValueError(f"no {msg.kind!r} message goes from {msg.sender!r} "
-                                 f"to {msg.receiver!r} among {N} agents and the cloud")
-            check_count(msg.k, "step")
-            if np.shape(msg.payload) != (widths[r],):
-                raise ValueError(f"{msg.kind} payload of shape {np.shape(msg.payload)} "
-                                 f"at step {msg.k}, expected ({widths[r]},)")
-            j = 2 * N * int(msg.k) + r
-            if j in payloads:
-                raise ValueError(f"duplicate {msg.kind} for {msg.sender} -> "
-                                 f"{msg.receiver} at step {msg.k}")
-            payloads[j] = msg.payload
-        T = max(payloads, default=-1) // (2 * N) + 1
-        if len(payloads) != 2 * N * T:
-            raise ValueError(f"wire log has {len(payloads)} of the {2 * N * T} "
-                             f"messages of steps 0..{T - 1}")
-        y_bar, u = np.empty((T, model.n)), np.empty((T, model.m))
-        slices = model.state_slices + model.input_slices
-        for j, payload in payloads.items():
-            k, r = divmod(j, 2 * N)
-            (y_bar if r < N else u)[k, slices[r]] = payload
-        return cls(y_bar, u, model.state_dims, model.input_dims)
-
     @property
     def horizon(self):
         return self.y_bar.shape[0]
@@ -390,6 +354,26 @@ def _check_agents(model, agents, horizon, seeds):
     return agents
 
 
+def _check_gains(model, L, sigmas, gains):
+    """L, sigmas and gains as float arrays, once they are checked: L of
+    shape (m, n), gains of shape (n, n), and per gain one row of the model's
+    N noise scales, each finite and >= 0 as calibrate_sigma requires. A
+    mismatch raises ValueError naming the argument."""
+    n, m, N = model.n, model.m, model.n_agents
+    L, sigmas, gains = (np.asarray(a, dtype=float) for a in (L, sigmas, gains))
+    if L.shape != (m, n):
+        raise ValueError(f"L must have shape ({m}, {n}), got {L.shape}")
+    if gains.ndim != 3 or gains.shape[1:] != (n, n):
+        raise ValueError(f"gains must be Kalman gains of shape ({n}, {n}), "
+                         f"got an array of shape {gains.shape}")
+    if sigmas.shape != (len(gains), N):
+        raise ValueError(f"sigmas must be one row of {N} noise scales per gain, "
+                         f"got shape {sigmas.shape} for {len(gains)} gains")
+    for sigma in sigmas.flat:
+        check_positive(sigma, "sigmas", allow_zero=True)
+    return L, sigmas, gains
+
+
 def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     """Advance S closed-loop runs in lockstep; yield their rows as _Chunks.
 
@@ -476,18 +460,19 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     precomputed SynthesisResult; by default it is computed here. The run
     is a lockstep batch of one (_lockstep), whose chunks are copied into
     the trace's arrays. Agents whose number or (n_i, m_i) differ from the
-    model's, and a horizon or seed that is not an integer >= 0, raise
-    ValueError.
+    model's, a horizon or seed that is not an integer >= 0, and a synthesis
+    whose L or Kalman gain is not shaped for the model raise ValueError.
     """
     agents = _check_agents(model, agents, horizon, [seed])
     if synthesis is None:
         synthesis = synthesize(model)
+    L, sigmas, gains = _check_gains(model, synthesis.L, [model.sigmas],
+                                    [synthesis.kalman_gain])
     n, m = model.n, model.m
     rows = {"x": np.empty((horizon, n)), "x_hat": np.empty((horizon, n)),
             "u": np.empty((horizon, m)), "y_bar": np.empty((horizon, n)),
             "stage_cost": np.empty(horizon), "avg_cost": np.empty(horizon)}
-    for chunk in _lockstep(model, agents, horizon, seed, synthesis.L,
-                           [model.sigmas], [synthesis.kalman_gain]):
+    for chunk in _lockstep(model, agents, horizon, seed, L, sigmas, gains):
         for name, out in rows.items():
             out[chunk.steps] = getattr(chunk, name)[:, 0]
     return SimulationTrace(
@@ -502,10 +487,12 @@ def average_costs(model, agents, horizon, seeds, L, sigmas, gains):
     Entry [j, s] has the bits of run_simulation(...).avg_cost[-1] under
     seeds[s] for run j, which publishes with noise scales sigmas[j] and
     applies the gains L and gains[j]. Each seed is one lockstep batch, which
-    draws its noise once. Inputs are checked as run_simulation checks them.
-    A horizon of 0 gives NaN, the mean of no stage costs.
+    draws its noise once. Inputs are checked as run_simulation checks them,
+    and sigmas must give one row of N finite scales >= 0 per gain. A horizon
+    of 0 gives NaN, the mean of no stage costs.
     """
     agents = _check_agents(model, agents, horizon, seeds)
+    L, sigmas, gains = _check_gains(model, L, sigmas, gains)
     costs = np.full((len(gains), len(seeds)), np.nan)
     for s, seed in enumerate(seeds):
         for chunk in _lockstep(model, agents, horizon, seed, L, sigmas, gains):
@@ -518,19 +505,18 @@ def eavesdropper_view(trace):
     return trace.messages
 
 
-def replay_estimates(messages, model, filter_synthesis, x_hat0):
+def replay_estimates(log, model, filter_synthesis, x_hat0):
     """Reconstruct the cloud's estimates from the wire log alone.
 
-    messages is a WireLog or a list of WireMessages (parsed first by
-    WireLog.from_messages). Needs only public information: the model
+    log is a WireLog: trace.messages, or the published messages.csv as
+    read_messages_csv parses it. Needs only public information: the model
     matrices (A, B, C), the filter gain (derivable from A, C, W, V without
     the secret Q and R), the public prior, and the log. The replay runs the
     cloud's own filter_step, so the result matches the cloud's xhat
-    sequence bit for bit. Returns a (T, n) array. An x_hat0 that is not
-    a finite vector of shape (n,) raises ValueError.
+    sequence bit for bit. Returns a (T, n) array. A log of other agent
+    dimensions, or an x_hat0 that is not a finite vector of shape (n,),
+    raises ValueError.
     """
-    log = messages if isinstance(messages, WireLog) else WireLog.from_messages(
-        messages, model)
     if (log.state_dims, log.input_dims) != (model.state_dims, model.input_dims):
         raise ValueError("the wire log's agent dimensions do not match the model")
     A, B, C = model.A, model.B, model.C
@@ -622,3 +608,38 @@ def write_messages_csv(log, path):
                 for slot, s, pad in layout:
                     rows.append([*slot, k, *text[s], *pad])
             write_rows(fh, rows)
+
+
+def read_messages_csv(path, model):
+    """Parse the bytes write_messages_csv wrote into `model`'s WireLog.
+
+    Cells are split on commas, which dplqg.output.write_rows never quotes,
+    and float() reads each repr back to its double, so the log comes back
+    bit for bit. Only the writer's bytes parse: its header for this model,
+    then the 2 N messages of each step 0..T-1 in protocol order, the step in
+    decimal and each payload in its agent's first cells, the rest empty.
+    Anything else raises ValueError: another header, slot, step, cell count
+    or payload width, a log that ends inside a step, a duplicated or missing
+    message, and a payload cell that float() rejects.
+    """
+    with open(path, newline="") as fh:
+        header, *rows = [line.rstrip("\r\n").split(",") for line in fh] or [[]]
+    N, widths = model.n_agents, model.state_dims + model.input_dims
+    width = max(widths) if rows else 0
+    expected = ["kind", "sender", "receiver", "k"] + [f"payload{j}" for j in range(width)]
+    if header != expected:
+        raise ValueError(f"messages header {header} is not {expected}")
+    if len(rows) % (2 * N):
+        raise ValueError(f"wire log of {len(rows)} messages ends inside a step of {2 * N}")
+    slots, values = _step_slots(N), []
+    for j, row in enumerate(rows):
+        k, r = divmod(j, 2 * N)
+        payload, pad = row[4:4 + widths[r]], row[4 + widths[r]:]
+        if (len(row) != len(expected) or row[:4] != [*slots[r], str(k)]
+                or "" in payload or any(pad)):
+            raise ValueError(f"message row {row} is not {slots[r]} at step {k} with "
+                             f"{widths[r]} of {width} payload cells filled")
+        values += map(float, payload)
+    T = len(rows) // (2 * N)
+    y_bar, u = np.hsplit(np.reshape(values, (T, model.n + model.m)), [model.n])
+    return WireLog(y_bar, u, model.state_dims, model.input_dims)

@@ -294,6 +294,32 @@ def test_cli_simulate_trace_and_summary(tmp_path):
     assert float(summary["final_avg_cost"]) > 0.0
 
 
+def test_cli_simulate_wire_file_replays_to_trace_estimates(tmp_path):
+    # The threat model on the verb's own files: an eavesdropper who holds
+    # only the published messages.csv and public model data (no Q or R)
+    # replays trace.csv's xhat columns, bit for bit.
+    cfg_path = CONFIG_DIR / "case_study_2agent.json"
+    out, T = tmp_path / "out", 300
+    assert main(["simulate", "--config", str(cfg_path), "--steps", str(T),
+                 "--out", str(out)]) == 0
+    model, agents = build_network(load(cfg_path))
+    public_filter = riccati.solve_dare_filter(model.A, model.C, model.W, model.V)
+    log = network.read_messages_csv(out / "messages.csv", model)
+    replayed = network.replay_estimates(
+        log, model, public_filter, np.concatenate([ag.x0_mean for ag in agents]))
+
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    xhat = header.split(",").index("xhat0")
+    estimates = np.full((T, model.n), np.nan)
+    for row in rows:
+        cells = row.split(",")
+        k, i = int(cells[0]), int(cells[1])
+        s = model.state_slices[i]
+        estimates[k, s] = [float(c) for c in cells[xhat:xhat + s.stop - s.start]]
+    assert len(rows) == T * model.n_agents
+    assert np.array_equal(replayed, estimates)
+
+
 def test_cli_simulate_checks_overrides_before_solving(tmp_path, capsys, monkeypatch):
     # a bad --steps or --seed is rejected before anything is solved
     def unreachable(*args, **kwargs):

@@ -23,11 +23,11 @@ from dplqg.network import (
     AgentModel,
     NetworkModel,
     SimulationTrace,
-    WireLog,
     _lockstep,
     assemble_network,
     average_costs,
     eavesdropper_view,
+    read_messages_csv,
     replay_estimates,
     run_simulation,
     write_messages_csv,
@@ -291,12 +291,12 @@ def test_horizon_zero_and_agent_mismatch():
     assert len(empty.messages) == 0
     syn = synthesize(model)
 
-    def single(agents, horizon, seed):
-        return run_simulation(model, agents, horizon=horizon, seed=seed)
+    def single(agents, horizon, seed, synthesis=syn):
+        return run_simulation(model, agents, horizon, seed, synthesis=synthesis)
 
-    def batch(agents, horizon, seed):  # checked as run_simulation checks
-        return average_costs(model, agents, horizon, [7, seed], syn.L,
-                             [model.sigmas], [syn.kalman_gain])
+    def batch(agents, horizon, seed, L=syn.L, sigmas=(model.sigmas,),
+              gains=(syn.kalman_gain,)):  # checked as run_simulation checks
+        return average_costs(model, agents, horizon, [7, seed], L, sigmas, gains)
 
     # a horizon of 0 has no stage costs to average
     assert np.isnan(batch(agents, 0, 1)).all()
@@ -318,6 +318,25 @@ def test_horizon_zero_and_agent_mismatch():
         for other in (three_states, two_inputs):
             with pytest.raises(ValueError, match="agent 1 has"):
                 run([agents[0], other], 5, 1)
+    # gains and noise scales of other shapes, or scales that are not finite
+    # and >= 0, are named, not broadcast
+    scalars = assemble_network([_scalar_agent()] * 4, Q=np.eye(4), R=np.eye(4))
+    for synthesis, name in ((synthesize(scalars), "L"),
+                            (replace(syn, kalman_gain=syn.kalman_gain[:2, :2]), "gains")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            single(agents, 5, 1, synthesis)
+    gain = syn.kalman_gain
+    for bad, name in (({"L": syn.L.T}, "L"), ({"gains": [gain[:2, :2]]}, "gains"),
+                      ({"gains": gain}, "gains"), ({"gains": [gain] * 3}, "sigmas"),
+                      ({"sigmas": [model.sigmas] * 2, "gains": [gain] * 3}, "sigmas"),
+                      ({"sigmas": [model.sigmas + (1.0,)]}, "sigmas"),
+                      ({"sigmas": [(-1.0, 1.0)]}, "sigmas"),
+                      ({"sigmas": [(1.0, np.nan)]}, "sigmas"),
+                      ({"sigmas": [(np.inf, 1.0)]}, "sigmas")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            batch(agents, 5, 1, **bad)
+    # a noise scale of 0 is valid: the run publishes its measurements as is
+    assert np.isfinite(batch(agents, 5, 1, sigmas=[(0.0, 0.0)])).all()
 
 
 def test_x0_true_and_x0_cov_initialization():
@@ -381,42 +400,66 @@ def test_replay_reconstructs_estimates_bit_for_bit():
     assert np.array_equal(replayed, trace.x_hat)
 
 
-def test_replay_empty_log():
-    model, _ = _two_agent_setup()
+def test_replay_empty_log(tmp_path):
+    # the empty log, as the trace holds it and as the published file holds it
+    model, agents = _two_agent_setup()
     syn = synthesize(model)
-    replayed = replay_estimates([], model, syn.filter, np.zeros(4))
-    assert replayed.shape == (0, 4)
+    empty = run_simulation(model, agents, horizon=0, seed=1, synthesis=syn).messages
+    path = tmp_path / "messages.csv"
+    write_messages_csv(empty, path)
+    assert path.read_bytes() == b"kind,sender,receiver,k\r\n"
+    for log in (empty, read_messages_csv(path, model)):
+        replayed = replay_estimates(log, model, syn.filter, np.zeros(4))
+        assert replayed.shape == (0, 4)
 
 
-def _corrupt(messages, j, **changes):
-    return messages[:j] + [replace(messages[j], **changes)] + messages[j + 1:]
+def _set_cell(lines, j, column, text):
+    """The CSV lines with cell `column` of message row j set to text."""
+    cells = lines[1 + j].split(",")
+    cells[column] = text
+    return lines[:1 + j] + [",".join(cells)] + lines[2 + j:]
 
 
-# Two agents with 2 states and 1 input each: per step, messages 0-1 are the
-# measurements and 2-3 the inputs.
+# messages.csv of two agents with 2 states and 1 input each, as lines: the
+# header kind,sender,receiver,k,payload0,payload1, then per step the rows of
+# messages 0-1, the measurements, and 2-3, the inputs.
 MALFORMED_LOGS = {
-    "unknown kind": lambda msgs: _corrupt(msgs, 0, kind="gossip"),
-    "sender agent-1": lambda msgs: _corrupt(msgs, 1, sender="agent-1"),
-    "receiver agent9": lambda msgs: _corrupt(msgs, 2, receiver="agent9"),
-    "sender agent01": lambda msgs: _corrupt(msgs, 1, sender="agent01"),
-    "measurement to an agent": lambda msgs: _corrupt(msgs, 0, receiver="agent1"),
-    "short payload": lambda msgs: _corrupt(msgs, 0, payload=np.zeros(1)),
-    "long payload": lambda msgs: _corrupt(msgs, 3, payload=np.zeros(2)),
-    "negative step": lambda msgs: _corrupt(msgs, 0, k=-1),
-    "bool step": lambda msgs: _corrupt(msgs, 4, k=True),
-    "missing entry": lambda msgs: msgs[:5] + msgs[6:],
-    "duplicated entry": lambda msgs: msgs + [msgs[5]],
+    "unknown kind": lambda lines: _set_cell(lines, 0, 0, "gossip"),
+    "sender agent-1": lambda lines: _set_cell(lines, 1, 1, "agent-1"),
+    "receiver agent9": lambda lines: _set_cell(lines, 2, 2, "agent9"),
+    "sender agent01": lambda lines: _set_cell(lines, 1, 1, "agent01"),
+    "measurement to an agent": lambda lines: _set_cell(lines, 0, 2, "agent1"),
+    "short payload": lambda lines: _set_cell(lines, 0, 5, ""),
+    "long payload": lambda lines: _set_cell(lines, 3, 5, "0.0"),
+    "negative step": lambda lines: _set_cell(lines, 0, 3, "-1"),
+    "bool step": lambda lines: _set_cell(lines, 4, 3, "True"),
+    "missing entry": lambda lines: lines[:6] + lines[7:],
+    "duplicated entry": lambda lines: lines + [lines[6]],
+    "one entry missing, another duplicated": lambda lines: lines[:6] + lines[7:] + [lines[1]],
+    "bad header": lambda lines: [lines[0].replace("payload1", "payload2")] + lines[1:],
+    "float step": lambda lines: _set_cell(lines, 4, 3, "1.0"),
+    "empty step": lambda lines: _set_cell(lines, 4, 3, ""),
+    "non-float cell": lambda lines: _set_cell(lines, 0, 4, "x"),
+    "extra cell": lambda lines: _set_cell(lines, 0, 5, lines[1].split(",")[5] + ","),
+    "swapped steps": lambda lines: [lines[0]] + lines[5:9] + lines[1:5] + lines[9:],
+    "payload header on an empty log": lambda lines: lines[:1],
 }
 
 
 @pytest.mark.parametrize("corrupt", MALFORMED_LOGS.values(), ids=MALFORMED_LOGS)
-def test_replay_rejects_unknown_message_kind(corrupt):
+def test_replay_rejects_unknown_message_kind(corrupt, tmp_path):
+    # The eavesdropper holds messages.csv: the reader rejects each malformed
+    # file before anything is replayed.
     model, agents = _two_agent_setup()
     syn = synthesize(model)
     trace = run_simulation(model, agents, horizon=3, seed=2, synthesis=syn)
-    bogus = corrupt(list(trace.messages))
+    path = tmp_path / "messages.csv"
+    write_messages_csv(trace.messages, path)
+    lines = path.read_bytes().decode().split("\r\n")[:-1]
+    assert len(lines) == 1 + 12
+    path.write_bytes("".join(line + "\r\n" for line in corrupt(lines)).encode())
     with pytest.raises(ValueError):
-        replay_estimates(bogus, model, syn.filter, trace.x_hat0)
+        replay_estimates(read_messages_csv(path, model), model, syn.filter, trace.x_hat0)
 
 
 def test_replay_rejects_a_bad_prior():
@@ -496,23 +539,27 @@ def _networks(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(net=_networks(), horizon=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
-def test_wire_log_round_trip_and_replay_property(net, horizon, seed):
+def test_wire_log_round_trip_and_replay_property(net, horizon, seed, tmp_path_factory):
+    # The published bytes are the whole wire log: written, read back and
+    # written again they are the same bytes, and the eavesdropper's replay
+    # of the parsed log is the cloud's estimate sequence, bit for bit.
     model, agents = net
     syn = synthesize(model)
     trace = run_simulation(model, agents, horizon, seed, synthesis=syn)
     N, T = model.n_agents, horizon
     log = eavesdropper_view(trace)
     assert len(log) == 2 * N * T
-    assert np.array_equal(replay_estimates(log, model, syn.filter, trace.x_hat0),
-                          trace.x_hat)
-
-    messages = list(log)
-    parsed = WireLog.from_messages(messages, model)
+    out = tmp_path_factory.mktemp("wire")
+    write_messages_csv(log, out / "messages.csv")
+    parsed = read_messages_csv(out / "messages.csv", model)
+    write_messages_csv(parsed, out / "again.csv")
+    assert (out / "again.csv").read_bytes() == (out / "messages.csv").read_bytes()
     assert np.array_equal(parsed.y_bar, trace.y_bar)
     assert np.array_equal(parsed.u, trace.u)
     assert np.array_equal(
         replay_estimates(parsed, model, syn.filter, trace.x_hat0), trace.x_hat)
 
+    messages = list(parsed)
     agent_names = [f"agent{i}" for i in range(N)]
     expected_order = []
     for k in range(T):
