@@ -35,7 +35,6 @@ from .network import (
     AgentModel,
     NetworkModel,
     SimulationTrace,
-    WireMessage,
     assemble_network,
     eavesdropper_view,
     read_messages_csv,
@@ -84,7 +83,6 @@ __all__ = [
     "PrivacySpec",
     "SimulationTrace",
     "SynthesisResult",
-    "WireMessage",
     "assemble_network",
     "build_network",
     "calibrate_sigma",

@@ -9,11 +9,12 @@ Protocol per step k (all agents, then the cloud, then all agents):
 3. the cloud sends u_i(k) to agent i, and only to agent i;
 4. every agent steps x_i(k+1) = A_i x_i(k) + B_i u_i(k) + w_i(k).
 
-The wire log is the trace's y_bar and u arrays; trace.messages views them
-as WireMessages in protocol order, built on demand. It is published as
-messages.csv by write_messages_csv, and read_messages_csv, beside it, parses
-those bytes back into the same log bit for bit. The eavesdropper's knowledge
-is exactly that published log: true states, process noise, and the cost
+The wire log is the trace's y_bar and u arrays, which trace.messages holds
+read-only as a WireLog: row k holds the 2 N messages of step k. It is
+published as messages.csv by write_messages_csv, one row per message in
+protocol order, and read_messages_csv, beside it, parses those bytes back
+into the same arrays bit for bit. The eavesdropper's knowledge is exactly
+that published log: true states, process noise, and the cost
 matrices Q and R never appear in it. replay_estimates shows what the log
 leaks: the cloud's entire estimate sequence is reconstructible from public
 model data plus the log, since the replay runs the cloud's own update
@@ -45,7 +46,6 @@ grid. The batch keeps every run's bits, for three reasons:
   chunk in step order.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -208,17 +208,6 @@ def assemble_network(agents, Q, R):
     return model
 
 
-@dataclass(frozen=True, eq=False)
-class WireMessage:
-    """One message crossing the agent-cloud network."""
-
-    kind: str
-    sender: str
-    receiver: str
-    k: int
-    payload: np.ndarray
-
-
 def _step_slots(n_agents):
     """(kind, sender, receiver) of the 2 N messages of one step, in order."""
     agents = [f"agent{i}" for i in range(n_agents)]
@@ -226,41 +215,26 @@ def _step_slots(n_agents):
             + [(CONTROL, CLOUD, a) for a in agents])
 
 
-class WireLog(Sequence):
-    """Read-only sequence of WireMessages over the arrays y_bar and u.
+class WireLog:
+    """The wire log as its two arrays, y_bar and u, held read-only.
 
-    Agent i's entries sit in its state and input slices. Each step holds
-    2 N messages in protocol order: the N measurements agent0..agent{N-1}
-    -> cloud, then the N inputs cloud -> agent0..agent{N-1}. A message is
-    built, with a copy of its payload, only when indexed; a slice is a list.
+    Row k of y_bar holds the N measurements agent0..agent{N-1} -> cloud of
+    step k, and row k of u the N inputs cloud -> agent0..agent{N-1}; agent
+    i's entries sit in its state and input slices. len() is the number of
+    messages, 2 N per step.
     """
 
     def __init__(self, y_bar, u, state_dims, input_dims):
         self.y_bar, self.u = (np.asarray(a, dtype=float).view() for a in (y_bar, u))
         self.y_bar.flags.writeable = self.u.flags.writeable = False
         self.state_dims, self.input_dims = tuple(state_dims), tuple(input_dims)
-        self._slots = _step_slots(len(self.state_dims))
-        self._slices = _slices(self.state_dims) + _slices(self.input_dims)
 
     @property
     def horizon(self):
         return self.y_bar.shape[0]
 
     def __len__(self):
-        return len(self._slots) * self.horizon
-
-    def __getitem__(self, index):
-        j = range(len(self))[index]
-        if isinstance(j, range):
-            return [self[i] for i in j]
-        kind, sender, receiver, k, payload = self._entry(j)
-        return WireMessage(kind, sender, receiver, k, payload.copy())
-
-    def _entry(self, j):
-        """(kind, sender, receiver, k, payload view) of message j."""
-        k, r = divmod(j, len(self._slots))
-        array = self.y_bar if r < len(self.state_dims) else self.u
-        return (*self._slots[r], k, array[k, self._slices[r]])
+        return 2 * len(self.state_dims) * self.horizon
 
 
 @dataclass(eq=False)
@@ -271,8 +245,8 @@ class SimulationTrace:
     estimate xhat(k) used to form u(k), the input u(k), the privatized
     measurements ybar(k), the stage cost x(k)^T Q x(k) + u(k)^T R u(k), and
     the running mean of stage costs 0..k. y_bar and u are the whole wire
-    log, which messages views as 2 N WireMessages per step. x_hat0 is the
-    public prior the estimator started from.
+    log, which messages holds read-only as a WireLog. x_hat0 is the public
+    prior the estimator started from.
     """
 
     x: np.ndarray
@@ -360,7 +334,12 @@ def _check_gains(model, L, sigmas, gains):
     N noise scales, each finite and >= 0 as calibrate_sigma requires. A
     mismatch raises ValueError naming the argument."""
     n, m, N = model.n, model.m, model.n_agents
-    L, sigmas, gains = (np.asarray(a, dtype=float) for a in (L, sigmas, gains))
+    try:
+        sigmas = np.asarray(sigmas, dtype=float)
+    except ValueError:
+        raise ValueError(f"sigmas must be one row of {N} noise scales per gain, "
+                         "got rows that are ragged or not numbers") from None
+    L, gains = np.asarray(L, dtype=float), np.asarray(gains, dtype=float)
     if L.shape != (m, n):
         raise ValueError(f"L must have shape ({m}, {n}), got {L.shape}")
     if gains.ndim != 3 or gains.shape[1:] != (n, n):
@@ -508,14 +487,14 @@ def eavesdropper_view(trace):
 def replay_estimates(log, model, filter_synthesis, x_hat0):
     """Reconstruct the cloud's estimates from the wire log alone.
 
-    log is a WireLog: trace.messages, or the published messages.csv as
-    read_messages_csv parses it. Needs only public information: the model
-    matrices (A, B, C), the filter gain (derivable from A, C, W, V without
-    the secret Q and R), the public prior, and the log. The replay runs the
-    cloud's own filter_step, so the result matches the cloud's xhat
-    sequence bit for bit. Returns a (T, n) array. A log of other agent
-    dimensions, or an x_hat0 that is not a finite vector of shape (n,),
-    raises ValueError.
+    log is a WireLog, whose y_bar and u arrays are all the replay reads:
+    trace.messages, or the published messages.csv as read_messages_csv
+    parses it. Needs only public information: the model matrices (A, B, C),
+    the filter gain (derivable from A, C, W, V without the secret Q and R),
+    the public prior, and the log. The replay runs the cloud's own
+    filter_step, so the result matches the cloud's xhat sequence bit for
+    bit. Returns a (T, n) array. A log of other agent dimensions, or an
+    x_hat0 that is not a finite vector of shape (n,), raises ValueError.
     """
     if (log.state_dims, log.input_dims) != (model.state_dims, model.input_dims):
         raise ValueError("the wire log's agent dimensions do not match the model")
@@ -587,7 +566,8 @@ def write_trace_csv(trace, path):
 def write_messages_csv(log, path):
     """Write a WireLog as CSV: kind, sender, receiver, k, payload cells.
 
-    Rows come in the log's protocol order, formatted straight from its
+    Each step's 2 N rows come in protocol order (_step_slots, which
+    read_messages_csv also follows), formatted straight from the log's
     arrays, CSV_BATCH_STEPS steps at a time. Payload columns run to the
     widest agent state or input dimension (none for an empty log); narrower
     payloads leave trailing cells empty.
@@ -595,7 +575,8 @@ def write_messages_csv(log, path):
     widths = log.state_dims + log.input_dims
     width = max(widths) if len(log) else 0
     # message r's payload is slice r of the step's [y_bar | u] row
-    layout = list(zip(log._slots, _slices(widths), _padding(widths, width)))
+    layout = list(zip(_step_slots(len(log.state_dims)), _slices(widths),
+                      _padding(widths, width)))
     with open(path, "w", newline="") as fh:
         write_rows(fh, [["kind", "sender", "receiver", "k"]
                         + [f"payload{j}" for j in range(width)]])
@@ -620,7 +601,9 @@ def read_messages_csv(path, model):
     decimal and each payload in its agent's first cells, the rest empty.
     Anything else raises ValueError: another header, slot, step, cell count
     or payload width, a log that ends inside a step, a duplicated or missing
-    message, and a payload cell that float() rejects.
+    message, and a payload cell that is not repr(float(cell)), such as
+    "+0.5", "5E-1" or "Infinity", named by its message row (1 is the row
+    below the header) and payload column.
     """
     with open(path, newline="") as fh:
         header, *rows = [line.rstrip("\r\n").split(",") for line in fh] or [[]]
@@ -635,11 +618,18 @@ def read_messages_csv(path, model):
     for j, row in enumerate(rows):
         k, r = divmod(j, 2 * N)
         payload, pad = row[4:4 + widths[r]], row[4 + widths[r]:]
-        if (len(row) != len(expected) or row[:4] != [*slots[r], str(k)]
-                or "" in payload or any(pad)):
+        if len(row) != len(expected) or row[:4] != [*slots[r], str(k)] or any(pad):
             raise ValueError(f"message row {row} is not {slots[r]} at step {k} with "
                              f"{widths[r]} of {width} payload cells filled")
-        values += map(float, payload)
+        for c, cell in enumerate(payload):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or repr(value) != cell:
+                raise ValueError(f"message row {j + 1} ({slots[r][0]} at step {k}): "
+                                 f"payload{c} cell {cell!r} is not the repr of a double")
+            values.append(value)
     T = len(rows) // (2 * N)
     y_bar, u = np.hsplit(np.reshape(values, (T, model.n + model.m)), [model.n])
     return WireLog(y_bar, u, model.state_dims, model.input_dims)

@@ -35,6 +35,7 @@ from dplqg.network import (
     eavesdropper_view,
     replay_estimates,
     run_simulation,
+    write_messages_csv,
 )
 from dplqg.privacy import PrivacySpec, kappa, verify_dp_inequality
 from dplqg.riccati import (
@@ -311,7 +312,7 @@ def test_c09_privacy_sweep_monotone(capsys):
             f"cost {costs[0]:.0f}->{costs[-1]:.0f}, {elapsed:.0f}s)")
 
 
-def test_c10_wire_log_complete_replayable_clean(capsys):
+def test_c10_wire_log_complete_replayable_clean(capsys, tmp_path):
     label = "[10] wire log: 2NT messages, bit-exact replay, no true state leaks"
     cfg = load(CONFIG_DIR / "case_study_2agent.json")
     from dplqg.config import resolve_costs
@@ -330,10 +331,11 @@ def test_c10_wire_log_complete_replayable_clean(capsys):
     replayed = replay_estimates(log, model, syn.filter, trace.x_hat0)
     replay_ok = np.array_equal(replayed, trace.x_hat)
 
+    # the wire values as the listener holds them: the published payload cells
+    write_messages_csv(log, tmp_path / "messages.csv")
+    rows = (tmp_path / "messages.csv").read_text().splitlines()[1:]
     true_values = set(trace.x.ravel().tolist())
-    wire_values = set()
-    for msg in log:
-        wire_values.update(msg.payload.ravel().tolist())
+    wire_values = {float(cell) for row in rows for cell in row.split(",")[4:] if cell}
     clean_ok = len(wire_values) > 0 and true_values.isdisjoint(wire_values)
     ok = count_ok and replay_ok and clean_ok
     _report(capsys, ok,

@@ -5,6 +5,7 @@ written files can be asserted cheaply. Two subprocess tests run the bound
 verb as `python -m dplqg.cli` and check the installed console script.
 """
 
+import importlib
 import json
 import os
 import shutil
@@ -601,6 +602,17 @@ def test_cli_exit_code_non_finite_iterate(tmp_path, capsys):
         assert main(["synthesize", "--config", path,
                      "--out", str(tmp_path / "z")]) == 4
     assert "iterate not finite at step 1" in capsys.readouterr().err
+
+
+def test_console_script_entry_point_resolves():
+    # The installed console script runs (next test) only where it is on PATH;
+    # its entry point, as pyproject.toml declares it, is checked everywhere.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"dplqg": "dplqg.cli:main"}
+    module, _, attr = scripts["dplqg"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 def test_console_script_installed(tmp_path):

@@ -227,9 +227,6 @@ def test_simulation_is_bit_reproducible():
     assert np.array_equal(t1.u, t2.u)
     assert np.array_equal(t1.y_bar, t2.y_bar)
     assert np.array_equal(t1.stage_cost, t2.stage_cost)
-    for m1, m2 in zip(t1.messages, t2.messages):
-        assert m1.kind == m2.kind and m1.k == m2.k
-        assert np.array_equal(m1.payload, m2.payload)
 
 
 def test_simulation_seed_changes_trace():
@@ -239,23 +236,29 @@ def test_simulation_seed_changes_trace():
     assert not np.array_equal(t1.y_bar, t2.y_bar)
 
 
-def test_message_count_and_protocol_order():
+def _published_rows(log, path):
+    """The message rows of log as write_messages_csv publishes it, each a
+    list of cells: kind, sender, receiver, k, payload cells."""
+    write_messages_csv(log, path)
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_message_count_and_protocol_order(tmp_path):
     model, agents = _two_agent_setup()
     T = 17
     trace = run_simulation(model, agents, horizon=T, seed=5)
     N = len(agents)
     assert len(trace.messages) == 2 * N * T
+    rows = _published_rows(trace.messages, tmp_path / "messages.csv")
+    assert len(rows) == 2 * N * T
     for k in range(T):
-        step_msgs = trace.messages[2 * N * k: 2 * N * (k + 1)]
-        ups, downs = step_msgs[:N], step_msgs[N:]
-        for i, msg in enumerate(ups):
-            assert msg.kind == MEASUREMENT
-            assert msg.sender == f"agent{i}" and msg.receiver == CLOUD
-            assert msg.k == k and msg.payload.shape == (2,)
-        for i, msg in enumerate(downs):
-            assert msg.kind == CONTROL
-            assert msg.sender == CLOUD and msg.receiver == f"agent{i}"
-            assert msg.k == k and msg.payload.shape == (1,)
+        ups, downs = rows[2 * N * k: 2 * N * k + N], rows[2 * N * k + N: 2 * N * (k + 1)]
+        for i, row in enumerate(ups):
+            assert row[:4] == [MEASUREMENT, f"agent{i}", CLOUD, str(k)]
+            assert row[4:] == [repr(v) for v in trace.y_bar[k, 2 * i: 2 * i + 2].tolist()]
+        for i, row in enumerate(downs):
+            assert row[:4] == [CONTROL, CLOUD, f"agent{i}", str(k)]
+            assert row[4:] == [repr(float(trace.u[k, i])), ""]
 
 
 def test_trace_shapes_and_cost_bookkeeping():
@@ -330,6 +333,7 @@ def test_horizon_zero_and_agent_mismatch():
                       ({"gains": gain}, "gains"), ({"gains": [gain] * 3}, "sigmas"),
                       ({"sigmas": [model.sigmas] * 2, "gains": [gain] * 3}, "sigmas"),
                       ({"sigmas": [model.sigmas + (1.0,)]}, "sigmas"),
+                      ({"sigmas": [(1.0, 2.0), (1.0,)], "gains": [gain] * 2}, "sigmas"),
                       ({"sigmas": [(-1.0, 1.0)]}, "sigmas"),
                       ({"sigmas": [(1.0, np.nan)]}, "sigmas"),
                       ({"sigmas": [(np.inf, 1.0)]}, "sigmas")):
@@ -444,10 +448,23 @@ MALFORMED_LOGS = {
     "swapped steps": lambda lines: [lines[0]] + lines[5:9] + lines[1:5] + lines[9:],
     "payload header on an empty log": lambda lines: lines[:1],
 }
+# payload cells that float() reads but the writer never writes; each is put
+# in payload1 of message row 2, agent1's measurement at step 0
+NON_CANONICAL_CELLS = ["+0.5", "1_0", " 0.5", "5E-1", "0.50", "Infinity"]
+MALFORMED_LOGS.update({
+    f"payload cell {cell!r}": lambda lines, cell=cell: _set_cell(lines, 1, 5, cell)
+    for cell in NON_CANONICAL_CELLS})
+# a rejected payload cell is named by its message row and payload column
+CELL_ERRORS = {
+    "short payload": r"^message row 1 \(measurement at step 0\): payload1 cell ''",
+    "non-float cell": r"^message row 1 \(measurement at step 0\): payload0 cell 'x'",
+    **{f"payload cell {cell!r}": r"^message row 2 \(measurement at step 0\): payload1 cell "
+       for cell in NON_CANONICAL_CELLS},
+}
 
 
-@pytest.mark.parametrize("corrupt", MALFORMED_LOGS.values(), ids=MALFORMED_LOGS)
-def test_replay_rejects_unknown_message_kind(corrupt, tmp_path):
+@pytest.mark.parametrize("name, corrupt", MALFORMED_LOGS.items(), ids=MALFORMED_LOGS)
+def test_replay_rejects_unknown_message_kind(name, corrupt, tmp_path):
     # The eavesdropper holds messages.csv: the reader rejects each malformed
     # file before anything is replayed.
     model, agents = _two_agent_setup()
@@ -458,7 +475,7 @@ def test_replay_rejects_unknown_message_kind(corrupt, tmp_path):
     lines = path.read_bytes().decode().split("\r\n")[:-1]
     assert len(lines) == 1 + 12
     path.write_bytes("".join(line + "\r\n" for line in corrupt(lines)).encode())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=CELL_ERRORS.get(name)):
         replay_estimates(read_messages_csv(path, model), model, syn.filter, trace.x_hat0)
 
 
@@ -489,17 +506,12 @@ def test_wire_log_view_indexing():
     model, agents = _two_agent_setup()
     trace = run_simulation(model, agents, horizon=4, seed=3)
     log = trace.messages
-    every = list(log)
-    assert len(every) == len(log) == 16
-    assert log[-1].k == 3 and log[-1].receiver == "agent1"
-    assert [m.k for m in log[2:16:5]] == [m.k for m in every[2:16:5]]
-    with pytest.raises(IndexError):
-        log[16]
-    # payloads are copies; the log's arrays cannot be written through it
-    every[0].payload[:] = 0.0
-    assert np.array_equal(log[0].payload, trace.y_bar[0, :2])
+    assert len(log) == 16
+    # the log's arrays cannot be written through it
     with pytest.raises(ValueError):
         log.y_bar[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        log.u[0, 0] = 1.0
 
 
 @st.composite
@@ -559,19 +571,13 @@ def test_wire_log_round_trip_and_replay_property(net, horizon, seed, tmp_path_fa
     assert np.array_equal(
         replay_estimates(parsed, model, syn.filter, trace.x_hat0), trace.x_hat)
 
-    messages = list(parsed)
     agent_names = [f"agent{i}" for i in range(N)]
     expected_order = []
     for k in range(T):
-        expected_order += [(k, MEASUREMENT, a, CLOUD) for a in agent_names]
-        expected_order += [(k, CONTROL, CLOUD, a) for a in agent_names]
-    assert [(m.k, m.kind, m.sender, m.receiver) for m in messages] == expected_order
-    for k in range(T):
-        step = messages[2 * N * k: 2 * N * (k + 1)]
-        assert np.array_equal(np.concatenate([m.payload for m in step[:N]]),
-                              trace.y_bar[k])
-        assert np.array_equal(np.concatenate([m.payload for m in step[N:]]),
-                              trace.u[k])
+        expected_order += [[MEASUREMENT, a, CLOUD, str(k)] for a in agent_names]
+        expected_order += [[CONTROL, CLOUD, a, str(k)] for a in agent_names]
+    rows = _published_rows(parsed, out / "order.csv")
+    assert [row[:4] for row in rows] == expected_order
 
 
 def _reference_simulation(model, agents, horizon, seed, syn):
@@ -771,16 +777,15 @@ def test_entropy_falls_as_epsilon_rises(net, eps_1, ratio):
     assert logdet(low_eps) > logdet(high_eps)
 
 
-def test_wire_never_carries_true_state_values():
+def test_wire_never_carries_true_state_values(tmp_path):
     # With secret initial states every true state is a secret; no float on
     # the wire may coincide with any true state entry. Exact comparison is
     # the point: even a single leaked double would intersect.
     model, agents = _two_agent_setup(x0_cov=np.eye(2))
     trace = run_simulation(model, agents, horizon=50, seed=13)
     true_values = set(trace.x.ravel().tolist())
-    wire_values = set()
-    for msg in trace.messages:
-        wire_values.update(msg.payload.ravel().tolist())
+    rows = _published_rows(trace.messages, tmp_path / "messages.csv")
+    wire_values = {float(cell) for row in rows for cell in row[4:] if cell}
     assert len(wire_values) > 0
     assert true_values.isdisjoint(wire_values)
 
@@ -870,16 +875,24 @@ def _reference_trace_csv(trace, path):
 
 
 def _reference_messages_csv(log, path):
-    """The per-message writer, kept as the oracle for write_messages_csv."""
+    """The per-message writer, kept as the oracle for write_messages_csv:
+    per step k, agent i's measurement to the cloud for each i, then the
+    cloud's input to agent i for each i, one csv.writer row each."""
     width = max(log.state_dims + log.input_dims) if len(log) else 0
+    agents = [f"agent{i}" for i in range(len(log.state_dims))]
+    slots = ([(MEASUREMENT, a, CLOUD) for a in agents]
+             + [(CONTROL, CLOUD, a) for a in agents])
+    S = [slice(a - n, a) for a, n in zip(np.cumsum(log.state_dims), log.state_dims)]
+    I = [slice(a - m, a) for a, m in zip(np.cumsum(log.input_dims), log.input_dims)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "sender", "receiver", "k"]
                         + [f"payload{j}" for j in range(width)])
-        for msg in log:
-            writer.writerow([msg.kind, msg.sender, msg.receiver, str(msg.k)]
-                            + [_cell(v) for v in msg.payload]
-                            + [""] * (width - msg.payload.size))
+        for k in range(log.horizon):
+            payloads = [log.y_bar[k, s] for s in S] + [log.u[k, t] for t in I]
+            for slot, payload in zip(slots, payloads):
+                writer.writerow([*slot, str(k)] + [_cell(v) for v in payload]
+                                + [""] * (width - payload.size))
 
 
 def _reference_matrix_csv(M, path):
