@@ -13,6 +13,10 @@ assumption failure, 4 Riccati non-convergence, 5 entropy cap inapplicable
 (its spectral condition fails). Unexpected internal errors exit 1 with a
 traceback.
 
+--out, --steps and --seed replace the config's out, horizon and seed,
+under the config's own checks, before any verb runs: every verb reads that
+one config, as if the config file held those values.
+
 All outputs are deterministic for a given config and seed: rerunning a verb
 with the same inputs rewrites byte-identical files. This module holds the
 verbs, the argument parser and the exit codes; the files are written in
@@ -42,17 +46,17 @@ DEFAULT_SWEEP_GRID = (0.1, 0.3, 0.7, 1.2, 2.0, 3.0)
 DEFAULT_SWEEP_SEEDS = 10
 
 
-def _out_dir(cfg, override):
-    out = Path(override if override is not None else (cfg.out or "results"))
+def _out_dir(cfg):
+    out = Path(cfg.out or "results")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_synthesize(cfg, out=None, seed=None):
+def cmd_synthesize(cfg):
     """Solve both Riccati equations and write gains, covariances, residuals."""
-    model, _ = build_network(cfg, seed=seed)
+    model, _ = build_network(cfg)
     syn = synthesize(model)
-    out_dir = _out_dir(cfg, out)
+    out_dir = _out_dir(cfg)
     write_matrix(syn.K, out_dir / "K.csv")
     write_matrix(syn.L, out_dir / "L.csv")
     write_matrix(syn.Sigma, out_dir / "Sigma.csv")
@@ -72,16 +76,12 @@ def cmd_synthesize(cfg, out=None, seed=None):
     return 0
 
 
-def cmd_simulate(cfg, out=None, steps=None, seed=None):
-    """Run the closed loop and write the trace, the wire log, and a summary.
-
-    The horizon and seed overrides are checked before anything is solved."""
-    master_seed = cfg.seed if seed is None else check_count(seed, "seed", ConfigError)
-    horizon = cfg.horizon if steps is None else check_count(steps, "steps", ConfigError)
-    model, agents = build_network(cfg, seed=master_seed)
+def cmd_simulate(cfg):
+    """Run the closed loop and write the trace, the wire log, and a summary."""
+    model, agents = build_network(cfg)
     syn = synthesize(model)
-    trace = run_simulation(model, agents, horizon, master_seed, synthesis=syn)
-    out_dir = _out_dir(cfg, out)
+    trace = run_simulation(model, agents, cfg.horizon, cfg.seed, synthesis=syn)
+    out_dir = _out_dir(cfg)
     write_trace_csv(trace, out_dir / "trace.csv")
     write_messages_csv(trace.messages, out_dir / "messages.csv")
     max_norm = (
@@ -89,7 +89,7 @@ def cmd_simulate(cfg, out=None, steps=None, seed=None):
     )
     lines = [
         f"steps = {trace.horizon}",
-        f"seed = {master_seed}",
+        f"seed = {cfg.seed}",
         f"message_count = {len(trace.messages)}",
         f"final_avg_cost = {fmt(trace.avg_cost[-1] if trace.horizon else None)}",
         f"max_state_norm = {fmt(max_norm)}",
@@ -100,7 +100,7 @@ def cmd_simulate(cfg, out=None, steps=None, seed=None):
     return 0
 
 
-def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
+def sweep_epsilon(cfg, grid, n_seeds):
     """Rerun the pipeline across privacy levels; returns one row per epsilon.
 
     Every agent's epsilon is replaced by the grid value (deltas and
@@ -124,12 +124,9 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     n_seeds = check_count(n_seeds, "--seeds", ConfigError)
     if n_seeds < 1:
         raise ConfigError("--seeds must be >= 1")
-    horizon = cfg.horizon if steps is None else check_count(steps, "steps", ConfigError)
-    if horizon < 1:
+    if cfg.horizon < 1:
         raise ConfigError("sweep needs at least one simulation step")
-    base_seed = cfg.seed if seed is None else check_count(seed, "seed", ConfigError)
-    Q, R = resolve_costs(cfg, seed=base_seed)
-    base = assemble_network(cfg.agents, Q, R)
+    base = assemble_network(cfg.agents, *resolve_costs(cfg))
     control = solve_dare_control(base.A, base.B, base.Q, base.R)
     members = []
     for eps in grid:
@@ -140,8 +137,9 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
         report = entropy_bound_report(model.A, model.W, model.C, model.V,
                                       Sigma=filt.Sigma)
         members.append((eps, model, filt, report))
-    costs = average_costs(base, cfg.agents, horizon, range(base_seed, base_seed + n_seeds),
-                          control.L, [model.sigmas for _, model, _, _ in members],
+    costs = average_costs(base, cfg.agents, cfg.horizon,
+                          range(cfg.seed, cfg.seed + n_seeds), control.L,
+                          [model.sigmas for _, model, _, _ in members],
                           [filt.kalman_gain for _, _, filt, _ in members])
     return [
         {
@@ -158,17 +156,10 @@ def sweep_epsilon(cfg, grid, n_seeds, steps=None, seed=None):
     ]
 
 
-def cmd_sweep_epsilon(cfg, out=None, grid=None, n_seeds=DEFAULT_SWEEP_SEEDS,
-                      steps=None, seed=None):
+def cmd_sweep_epsilon(cfg, grid, n_seeds):
     """Run sweep_epsilon and write sweep.csv."""
-    rows = sweep_epsilon(
-        cfg,
-        DEFAULT_SWEEP_GRID if grid is None else grid,
-        n_seeds,
-        steps=steps,
-        seed=seed,
-    )
-    out_dir = _out_dir(cfg, out)
+    rows = sweep_epsilon(cfg, grid, n_seeds)
+    out_dir = _out_dir(cfg)
     fields = ["epsilon", "sigma", "mean_cost", "logdet_cov",
               "entropy_bound", "condition_margin"]
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
@@ -177,11 +168,11 @@ def cmd_sweep_epsilon(cfg, out=None, grid=None, n_seeds=DEFAULT_SWEEP_SEEDS,
     return 0
 
 
-def cmd_bound(cfg, out=None):
+def cmd_bound(cfg):
     """Evaluate the entropy cap; exit 5 (after writing the verdict) if it
     does not apply to this model."""
     model, _ = build_network(cfg)
-    out_dir = _out_dir(cfg, out)
+    out_dir = _out_dir(cfg)
     path = out_dir / "bound_report.txt"
     report = entropy_bound_report(model.A, model.W, model.C, model.V)
     status = "applicable" if report.condition_holds else "inapplicable"
@@ -207,7 +198,8 @@ def _build_parser():
         p.add_argument("--out", help="output directory (default: config's "
                                      "'out' or ./results)")
         if steps:
-            p.add_argument("--steps", type=int, help="override the horizon")
+            p.add_argument("--steps", type=int, dest="horizon", metavar="STEPS",
+                           help="override the horizon")
         if seed:
             p.add_argument("--seed", type=int, help="override the master seed")
         if grid:
@@ -230,25 +222,24 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    overrides = {name: getattr(args, name) for name in ("out", "horizon", "seed")
+                 if getattr(args, name, None) is not None}
     try:
-        cfg = load(args.config)
+        cfg = replace(load(args.config), **overrides)
         if args.command == "synthesize":
-            return cmd_synthesize(cfg, out=args.out, seed=args.seed)
+            return cmd_synthesize(cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out=args.out, steps=args.steps,
-                                seed=args.seed)
+            return cmd_simulate(cfg)
         if args.command == "sweep-epsilon":
-            grid = None
+            grid = DEFAULT_SWEEP_GRID
             if args.grid is not None:
                 try:
                     grid = [float(v) for v in args.grid.split(",") if v.strip()]
                 except ValueError:
                     raise ConfigError(f"bad --grid value: {args.grid!r}") from None
-            return cmd_sweep_epsilon(cfg, out=args.out, grid=grid,
-                                     n_seeds=args.seeds, steps=args.steps,
-                                     seed=args.seed)
+            return cmd_sweep_epsilon(cfg, grid, args.seeds)
         if args.command == "bound":
-            return cmd_bound(cfg, out=args.out)
+            return cmd_bound(cfg)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)

@@ -30,10 +30,12 @@ cost couples agents even though their dynamics are decoupled.
 
 Parsing is strict: unknown keys, wrong shapes, invalid privacy
 parameters, or a horizon or seed that is not a JSON integer >= 0 raise
-ConfigError.
+ConfigError. The command line's --seed, --steps and --out replace seed,
+horizon and out, under the same checks, before any verb runs.
 """
 
 import json
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,17 +52,15 @@ _TOP_KEYS = {"agents", "cost", "horizon", "seed", "out"}
 _COST_KEYS = {"Q", "R"}
 
 
+@dataclass(frozen=True)
 class RandomPdRecipe:
     """Deferred G^T G + 0.1 I cost matrix; resolved at network build time."""
 
-    def __init__(self, seed=None):
-        self.seed = None if seed is None else check_count(seed, "seed")
+    seed: int = None
 
-    def __eq__(self, other):
-        return isinstance(other, RandomPdRecipe) and self.seed == other.seed
-
-    def __repr__(self):
-        return f"RandomPdRecipe(seed={self.seed})"
+    def __post_init__(self):
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_count(self.seed, "seed"))
 
     def resolve(self, dim, default_seed, which):
         seed = self.seed
@@ -71,26 +71,27 @@ class RandomPdRecipe:
         return G.T @ G + 0.1 * np.eye(dim)
 
 
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description; dataclasses.replace edits it under
+    the checks of construction."""
 
-    def __init__(self, agents, cost_q, cost_r, horizon, seed, out=None):
-        self.agents = list(agents)
-        self.cost_q = cost_q
-        self.cost_r = cost_r
-        self.horizon = check_count(horizon, "horizon", ConfigError)
-        self.seed = check_count(seed, "seed", ConfigError)
-        self.out = out
+    agents: tuple
+    cost_q: object
+    cost_r: object
+    horizon: int
+    seed: int
+    out: str = None
+
+    def __post_init__(self):
+        for name in ("horizon", "seed"):
+            object.__setattr__(self, name,
+                               check_count(getattr(self, name), name, ConfigError))
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("'out' must be a string path")
+        object.__setattr__(self, "agents", tuple(self.agents))
         if not self.agents:
             raise ConfigError("at least one agent is required")
-
-    @property
-    def n(self):
-        return sum(ag.n for ag in self.agents)
-
-    @property
-    def m(self):
-        return sum(ag.m for ag in self.agents)
 
 
 def _matrix(value, where):
@@ -171,12 +172,9 @@ def from_dict(raw):
         raise ConfigError("'cost' must be an object with exactly keys Q and R")
     cost_q = _cost_entry(cost["Q"], "cost.Q")
     cost_r = _cost_entry(cost["R"], "cost.R")
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("'out' must be a string path")
     return ExperimentConfig(
         agents=agents, cost_q=cost_q, cost_r=cost_r,
-        horizon=raw["horizon"], seed=raw["seed"], out=out,
+        horizon=raw["horizon"], seed=raw["seed"], out=raw.get("out"),
     )
 
 
@@ -198,28 +196,24 @@ def load(path):
 def resolve_costs(cfg, seed=None):
     """Materialize the cost matrices (explicit or random recipe) as arrays.
 
-    seed overrides the default seed that unseeded random_pd recipes fall
-    back to (the config's master seed).
+    seed, when given, replaces the config's master seed, under the same
+    check, as the default that unseeded random_pd recipes fall back to.
     """
-    default = cfg.seed if seed is None else check_count(seed, "seed", ConfigError)
-    n, m = cfg.n, cfg.m
-    if isinstance(cfg.cost_q, RandomPdRecipe):
-        Q = cfg.cost_q.resolve(n, default, 0)
-    else:
-        Q = np.asarray(cfg.cost_q, dtype=float)
-    if isinstance(cfg.cost_r, RandomPdRecipe):
-        R = cfg.cost_r.resolve(m, default, 1)
-    else:
-        R = np.asarray(cfg.cost_r, dtype=float)
-    return Q, R
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    costs = []
+    for which, (cost, dim) in enumerate([(cfg.cost_q, "n"), (cfg.cost_r, "m")]):
+        if isinstance(cost, RandomPdRecipe):
+            cost = cost.resolve(sum(getattr(ag, dim) for ag in cfg.agents), cfg.seed, which)
+        costs.append(np.asarray(cost, dtype=float))
+    return tuple(costs)
 
 
-def build_network(cfg, seed=None):
+def build_network(cfg):
     """Assemble the validated NetworkModel for a config.
 
     Returns (model, agents). Assumption violations propagate as
     AssumptionError from the assembly.
     """
-    Q, R = resolve_costs(cfg, seed=seed)
-    model = assemble_network(cfg.agents, Q, R)
+    model = assemble_network(cfg.agents, *resolve_costs(cfg))
     return model, cfg.agents

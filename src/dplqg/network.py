@@ -309,23 +309,37 @@ def _agent_runs(agents, model):
 
 def _check_agents(model, agents, horizon, seeds):
     """The agents as a list, once they, the horizon and the seeds are
-    checked: as many agents as the model's, each of the model's (n_i, m_i),
-    and a horizon and seeds that are integers >= 0 (errors.check_count). A
-    mismatch raises ValueError naming the agent."""
+    checked: as many agents as the model's, each with the model's blocks of
+    A, B, C and W (the plant runs the agents', the cloud filters with the
+    model's), and a horizon and seeds that are integers >= 0
+    (errors.check_count). A mismatch raises ValueError naming the agent.
+    Privacy and x0 are not compared, so re-noised models pass."""
     agents = list(agents)
     if len(agents) != model.n_agents:
         raise ValueError(
             f"model was assembled for {model.n_agents} agents, got {len(agents)}"
         )
+    S, I = model.state_slices, model.input_slices
     for i, ag in enumerate(agents):
-        dims = (model.state_dims[i], model.input_dims[i])
-        if (ag.n, ag.m) != dims:
-            raise ValueError(f"agent {i} has (n, m) = ({ag.n}, {ag.m}), but the "
-                             f"model was assembled with ({dims[0]}, {dims[1]})")
+        for name, cols in (("A", S[i]), ("B", I[i]), ("C", S[i]), ("W", S[i])):
+            block = getattr(model, name)[S[i], cols]
+            if not np.array_equal(getattr(ag, name), block):
+                raise ValueError(f"agent {i} has another {name} than the model's "
+                                 f"{block.shape} block, which the cloud filters with")
     check_count(horizon, "horizon")
     for seed in seeds:
         check_count(seed, "seed")
     return agents
+
+
+def _floats(value, name, rule):
+    """value as a float array; ValueError naming it when its rows are
+    ragged or not numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise ValueError(f"{name} must be {rule}, got rows that are ragged "
+                         "or not numbers") from None
 
 
 def _check_gains(model, L, sigmas, gains):
@@ -334,12 +348,9 @@ def _check_gains(model, L, sigmas, gains):
     N noise scales, each finite and >= 0 as calibrate_sigma requires. A
     mismatch raises ValueError naming the argument."""
     n, m, N = model.n, model.m, model.n_agents
-    try:
-        sigmas = np.asarray(sigmas, dtype=float)
-    except ValueError:
-        raise ValueError(f"sigmas must be one row of {N} noise scales per gain, "
-                         "got rows that are ragged or not numbers") from None
-    L, gains = np.asarray(L, dtype=float), np.asarray(gains, dtype=float)
+    sigmas = _floats(sigmas, "sigmas", f"one row of {N} noise scales per gain")
+    L = _floats(L, "L", f"a matrix of shape ({m}, {n})")
+    gains = _floats(gains, "gains", f"Kalman gains of shape ({n}, {n})")
     if L.shape != (m, n):
         raise ValueError(f"L must have shape ({m}, {n}), got {L.shape}")
     if gains.ndim != 3 or gains.shape[1:] != (n, n):
@@ -357,19 +368,18 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     """Advance S closed-loop runs in lockstep; yield their rows as _Chunks.
 
     The runs share model's agents (a list that _check_agents has passed),
-    dynamics and cost, the master seed and the control gain L. Run j
+    dynamics and cost, the master seed and the control gain L; L, sigmas
+    and gains are the float arrays that _check_gains returns. Run j
     publishes with noise scales sigmas[j] (one per agent) and filters with
     Kalman gain gains[j]. Run j's rows are bit-equal to those of
     run_simulation on its own model and synthesis; the module docstring
     says why. Chunks come SIM_CHUNK_STEPS steps at a time, and avg_cost is
     the running mean of stage costs from step 0.
     """
-    gains = np.asarray(gains, dtype=float)
     n_runs, n, m, N = len(gains), model.n, model.m, len(agents)
     A, B, C = model.A, model.B, model.C
     S = model.state_slices
-    scale = np.repeat(np.asarray(sigmas, dtype=float), model.state_dims,
-                      axis=1)[:, :, None]
+    scale = np.repeat(sigmas, model.state_dims, axis=1)[:, :, None]
     privacy = [derive_stream(seed, i, PRIVACY_NOISE) for i in range(N)]
     process = [derive_stream(seed, i, PROCESS_NOISE) for i in range(N)]
     factors = [psd_factor(ag.W) for ag in agents]
@@ -438,9 +448,9 @@ def run_simulation(model, agents, horizon, seed, synthesis=None):
     produce bit-identical traces. synthesis may be passed to reuse a
     precomputed SynthesisResult; by default it is computed here. The run
     is a lockstep batch of one (_lockstep), whose chunks are copied into
-    the trace's arrays. Agents whose number or (n_i, m_i) differ from the
-    model's, a horizon or seed that is not an integer >= 0, and a synthesis
-    whose L or Kalman gain is not shaped for the model raise ValueError.
+    the trace's arrays. Agents that differ from the model's (_check_agents),
+    a horizon or seed that is not an integer >= 0, and a synthesis whose L
+    or Kalman gain is not shaped for the model raise ValueError.
     """
     agents = _check_agents(model, agents, horizon, [seed])
     if synthesis is None:

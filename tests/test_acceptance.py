@@ -299,7 +299,7 @@ def test_c09_privacy_sweep_monotone(capsys):
     t0 = time.perf_counter()
     cfg = load(CONFIG_DIR / "sweep_4agent.json")
     rows = sweep_epsilon(
-        cfg, grid=[0.1, 0.3, 0.7, 1.2, 2.0, 3.0], n_seeds=10, steps=2500
+        replace(cfg, horizon=2500), grid=[0.1, 0.3, 0.7, 1.2, 2.0, 3.0], n_seeds=10
     )
     elapsed = time.perf_counter() - t0
     lds = [row["logdet_cov"] for row in rows]

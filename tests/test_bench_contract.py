@@ -1,13 +1,15 @@
 """The benchmark's view of the package: every public name bench/measure.py
-uses must exist.
+uses must exist, and every call it makes into the package must bind to the
+callee's signature.
 
 bench/ is outside the default test paths, so a rename or removal there
-would go unnoticed until the benchmark runs. This test reads the file with
+would go unnoticed until the benchmark runs. These tests read the file with
 ast, without importing or running it.
 """
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -27,9 +29,10 @@ def _resolve(module, name):
 
 
 def _package_names(tree):
-    """(module, name) of each `from dplqg... import name`, and the local
-    names bound to dplqg modules by those imports and `import dplqg...`."""
-    imported, modules = [], {}
+    """(module, name) of each `from dplqg... import name`; the local names
+    bound to dplqg modules by those imports and `import dplqg...`; and the
+    local names bound to the other values those imports resolve to."""
+    imported, modules, values = [], {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dplqg":
             for alias in node.names:
@@ -37,16 +40,18 @@ def _package_names(tree):
                 value = _resolve(node.module, alias.name)
                 if isinstance(value, types.ModuleType):
                     modules[alias.asname or alias.name] = value
+                elif value is not None:
+                    values[alias.asname or alias.name] = value
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "dplqg":
                     modules[alias.asname or alias.name] = importlib.import_module(alias.name)
-    return imported, modules
+    return imported, modules, values
 
 
 def test_bench_imports_and_module_attributes_resolve():
     tree = ast.parse(MEASURE.read_text(), filename=str(MEASURE))
-    imported, modules = _package_names(tree)
+    imported, modules, _ = _package_names(tree)
     missing = [f"{module}.{name}" for module, name in imported
                if _resolve(module, name) is None]
     used = {(node.value.id, node.attr) for node in ast.walk(tree)
@@ -59,3 +64,37 @@ def test_bench_imports_and_module_attributes_resolve():
     assert {("dplqg.lqg", "synthesize"), ("dplqg.network", "assemble_network"),
             ("dplqg.riccati", "solve_dare_filter")} <= set(imported)
     assert {("cli", "main"), ("cli", "DEFAULT_SWEEP_GRID")} <= used
+
+
+def test_bench_calls_bind_to_package_signatures():
+    # A parameter the benchmark passes, such as resolve_costs' seed=, must
+    # not be removed or renamed. Calls with *args or **kwargs are skipped:
+    # what they pass is not known without running the benchmark.
+    tree = ast.parse(MEASURE.read_text(), filename=str(MEASURE))
+    _, modules, values = _package_names(tree)
+    unbound, bound = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in values:
+            name, callee = func.id, values[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            name = f"{func.value.id}.{func.attr}"
+            callee = getattr(modules[func.value.id], func.attr, None)
+        else:
+            continue
+        if (callee is None or any(isinstance(arg, ast.Starred) for arg in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
+            continue  # a missing name fails the test above
+        try:
+            inspect.signature(callee).bind(
+                *node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {name}: {exc}")
+        bound.add(name)
+    assert not unbound, f"bench/measure.py calls that no longer bind: {unbound}"
+    # the check is not vacuous: the calls the benchmark depends on are seen
+    assert {"build_network", "resolve_costs", "run_simulation", "synthesize",
+            "cli.main"} <= bound

@@ -241,6 +241,17 @@ def test_experiment_config_validates():
     with pytest.raises(ConfigError):
         ExperimentConfig(agents=[], cost_q=np.eye(1), cost_r=np.eye(1),
                          horizon=1, seed=0)
+    # an edit runs the checks of construction, on the file's values and on
+    # the command line's overrides alike
+    cfg = from_dict(_config_dict())
+    for edit, message in (({"horizon": -1}, "horizon must be an integer >= 0"),
+                          ({"seed": 2.7}, "seed must be an integer >= 0"),
+                          ({"out": 5}, "'out' must be a string path")):
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, **edit)
+        with pytest.raises(ConfigError, match=message):
+            from_dict(_config_dict(**edit))
+    assert replace(cfg, horizon=np.int64(4)).horizon.__class__ is int
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +332,34 @@ def test_cli_simulate_wire_file_replays_to_trace_estimates(tmp_path):
     assert np.array_equal(replayed, estimates)
 
 
+@pytest.mark.parametrize("argv, steps", [
+    (["synthesize"], None),
+    (["simulate"], 40),
+    (["sweep-epsilon", "--seeds", "2", "--grid", "0.5,2.0"], 30),
+], ids=["synthesize", "simulate", "sweep-epsilon"])
+def test_cli_overrides_are_config_edits(tmp_path, argv, steps):
+    # --seed, --steps and --out write the files that a config file holding
+    # those values gives; the costs are unseeded random_pd recipes, so
+    # --seed also redraws Q and R
+    raw = _config_dict(cost={"Q": {"random_pd": {}}, "R": {"random_pd": {}}})
+    given, edited, master = tmp_path / "given", tmp_path / "edited", tmp_path / "master"
+    cfg_path = _write_config(tmp_path, raw)
+    edit = {"seed": 3, "out": str(edited)} | ({} if steps is None else {"horizon": steps})
+    edited_path = _write_config(tmp_path, raw | edit, "edited.json")
+    steps_argv = [] if steps is None else ["--steps", str(steps)]
+    assert main(argv + ["--config", cfg_path, *steps_argv, "--seed", "3",
+                        "--out", str(given)]) == 0
+    assert main(argv + ["--config", edited_path]) == 0
+    assert main(argv + ["--config", cfg_path, *steps_argv, "--out", str(master)]) == 0
+    names = sorted(path.name for path in given.iterdir())
+    assert names == sorted(path.name for path in edited.iterdir())
+    for name in names:
+        assert (given / name).read_bytes() == (edited / name).read_bytes(), name
+    # the override took effect: the config's own seed writes other files
+    assert any((given / name).read_bytes() != (master / name).read_bytes()
+               for name in names)
+
+
 def test_cli_simulate_checks_overrides_before_solving(tmp_path, capsys, monkeypatch):
     # a bad --steps or --seed is rejected before anything is solved
     def unreachable(*args, **kwargs):
@@ -331,11 +370,11 @@ def test_cli_simulate_checks_overrides_before_solving(tmp_path, capsys, monkeypa
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg_path, "--steps", "-1",
                  "--out", str(out)]) == 2
-    assert "steps must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert "horizon must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
-    for overrides in ({"steps": 2.5}, {"seed": 2.7}, {"seed": True}):
+    for overrides in ({"horizon": 2.5}, {"seed": 2.7}, {"seed": True}):
         with pytest.raises(ConfigError, match="must be an integer >= 0"):
-            cli.cmd_simulate(load(cfg_path), out=str(out), **overrides)
+            cli.cmd_simulate(replace(load(cfg_path), out=str(out), **overrides))
     assert not (out / "trace.csv").exists()
 
 
@@ -359,7 +398,7 @@ def test_cli_sweep_outputs_monotone_logdet(tmp_path):
 
 def test_sweep_epsilon_rows_reuse_common_randomness():
     cfg = from_dict(_config_dict())
-    rows = sweep_epsilon(cfg, grid=[0.5, 2.0], n_seeds=2, steps=25)
+    rows = sweep_epsilon(replace(cfg, horizon=25), grid=[0.5, 2.0], n_seeds=2)
     assert [r["epsilon"] for r in rows] == [0.5, 2.0]
     # tighter privacy costs more, in this plant, at these settings
     assert rows[0]["mean_cost"] > rows[1]["mean_cost"]
@@ -388,7 +427,7 @@ def test_sweep_solves_control_once_and_filter_once_per_epsilon(monkeypatch):
             (bounds, "solve_dare_filter", riccati.solve_dare_filter)):
         monkeypatch.setattr(module, name, counted(name, call))
     cfg = load(CONFIG_DIR / "sweep_4agent.json")
-    sweep_epsilon(cfg, DEFAULT_SWEEP_GRID, n_seeds=1, steps=1)
+    sweep_epsilon(replace(cfg, horizon=1), DEFAULT_SWEEP_GRID, n_seeds=1)
     assert calls == {"assemble_network": 1, "solve_dare_control": 1,
                      "solve_dare_filter": len(DEFAULT_SWEEP_GRID)}
 
@@ -427,10 +466,9 @@ def test_sweep_rows_match_one_run_per_epsilon_and_seed():
     # master seed and from an override.
     cfg = load(CONFIG_DIR / "sweep_4agent.json")
     grid, steps = [0.05, 0.5, 5.0], SIM_CHUNK_STEPS + 1
-    for seed in (None, 20):
-        rows = sweep_epsilon(cfg, grid, n_seeds=3, steps=steps, seed=seed)
-        expected = _reference_sweep(cfg, grid, 3, steps,
-                                    cfg.seed if seed is None else seed)
+    for seed in (cfg.seed, 20):
+        rows = sweep_epsilon(replace(cfg, horizon=steps, seed=seed), grid, n_seeds=3)
+        expected = _reference_sweep(cfg, grid, 3, steps, seed)
         assert [list(row) for row in rows] == [list(row) for row in expected]
         assert ([[repr(v) for v in row.values()] for row in rows]
                 == [[repr(v) for v in row.values()] for row in expected])
@@ -448,7 +486,7 @@ def test_sweep_draws_each_seeds_noise_once(monkeypatch):
     derive_stream = network.derive_stream
     monkeypatch.setattr(network, "derive_stream", counted)
     cfg = load(CONFIG_DIR / "sweep_4agent.json")
-    sweep_epsilon(cfg, DEFAULT_SWEEP_GRID, n_seeds=2, steps=1)
+    sweep_epsilon(replace(cfg, horizon=1), DEFAULT_SWEEP_GRID, n_seeds=2)
     N = len(cfg.agents)
     assert kinds.count(PROCESS_NOISE) == kinds.count(PRIVACY_NOISE) == 2 * N
 
@@ -464,10 +502,10 @@ def test_sweep_epsilon_rejects_bad_grid():
     # counts are integers, not truncated floats
     with pytest.raises(ConfigError, match="--seeds must be an integer"):
         sweep_epsilon(cfg, grid=[1.0], n_seeds=1.9)
-    with pytest.raises(ConfigError, match="steps must be an integer"):
-        sweep_epsilon(cfg, grid=[1.0], n_seeds=1, steps=2.5)
+    with pytest.raises(ConfigError, match="horizon must be an integer"):
+        sweep_epsilon(replace(cfg, horizon=2.5), grid=[1.0], n_seeds=1)
     with pytest.raises(ConfigError, match="seed must be an integer"):
-        sweep_epsilon(cfg, grid=[1.0], n_seeds=1, seed=2.7)
+        sweep_epsilon(replace(cfg, seed=2.7), grid=[1.0], n_seeds=1)
     assert len(DEFAULT_SWEEP_GRID) >= 4
 
 

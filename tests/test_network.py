@@ -321,6 +321,12 @@ def test_horizon_zero_and_agent_mismatch():
         for other in (three_states, two_inputs):
             with pytest.raises(ValueError, match="agent 1 has"):
                 run([agents[0], other], 5, 1)
+        # so is an agent with other dynamics than the model's blocks: its
+        # plant would run them while the cloud filters with the model's
+        for name in "ABCW":
+            other = replace(agents[1], **{name: 2.0 * getattr(agents[1], name)})
+            with pytest.raises(ValueError, match=f"agent 1 has another {name} "):
+                run([agents[0], other], 5, 1)
     # gains and noise scales of other shapes, or scales that are not finite
     # and >= 0, are named, not broadcast
     scalars = assemble_network([_scalar_agent()] * 4, Q=np.eye(4), R=np.eye(4))
@@ -331,6 +337,9 @@ def test_horizon_zero_and_agent_mismatch():
     gain = syn.kalman_gain
     for bad, name in (({"L": syn.L.T}, "L"), ({"gains": [gain[:2, :2]]}, "gains"),
                       ({"gains": gain}, "gains"), ({"gains": [gain] * 3}, "sigmas"),
+                      ({"sigmas": [model.sigmas] * 2, "gains": [gain, gain[:2, :2]]},
+                       "gains"),
+                      ({"L": [[1.0, 2.0], [1.0]]}, "L"),
                       ({"sigmas": [model.sigmas] * 2, "gains": [gain] * 3}, "sigmas"),
                       ({"sigmas": [model.sigmas + (1.0,)]}, "sigmas"),
                       ({"sigmas": [(1.0, 2.0), (1.0,)], "gains": [gain] * 2}, "sigmas"),
