@@ -226,10 +226,6 @@ def main(argv=None):
                  if getattr(args, name, None) is not None}
     try:
         cfg = replace(load(args.config), **overrides)
-        if args.command == "synthesize":
-            return cmd_synthesize(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
         if args.command == "sweep-epsilon":
             grid = DEFAULT_SWEEP_GRID
             if args.grid is not None:
@@ -238,9 +234,8 @@ def main(argv=None):
                 except ValueError:
                     raise ConfigError(f"bad --grid value: {args.grid!r}") from None
             return cmd_sweep_epsilon(cfg, grid, args.seeds)
-        if args.command == "bound":
-            return cmd_bound(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        verbs = {"synthesize": cmd_synthesize, "simulate": cmd_simulate, "bound": cmd_bound}
+        return verbs[args.command](cfg)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2

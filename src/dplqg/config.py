@@ -147,10 +147,10 @@ def _cost_entry(value, where):
         recipe = value["random_pd"]
         if not isinstance(recipe, dict) or set(recipe) - {"seed"}:
             raise ConfigError(f"{where}.random_pd: only a 'seed' key is allowed")
-        seed = recipe.get("seed")
-        if seed is not None:
-            check_count(seed, f"{where}.random_pd.seed", ConfigError)
-        return RandomPdRecipe(seed=seed)
+        try:
+            return RandomPdRecipe(seed=recipe.get("seed"))
+        except ValueError as exc:
+            raise ConfigError(f"{where}.random_pd.{exc}") from None
     return _matrix(value, where)
 
 

@@ -100,7 +100,7 @@ def check_positive(value, name, allow_zero=False):
     in_range = value >= 0.0 if allow_zero else value > 0.0
     if not (np.isfinite(value) and in_range):
         bound = ">= 0" if allow_zero else "positive"
-        raise ValueError(f"{name} must be {bound}, got {value}")
+        raise ValueError(f"{name} must be {bound} and finite, got {value}")
     return value
 
 

@@ -12,14 +12,15 @@ Protocol per step k (all agents, then the cloud, then all agents):
 The wire log is the trace's y_bar and u arrays, which trace.messages holds
 read-only as a WireLog: row k holds the 2 N messages of step k. It is
 published as messages.csv by write_messages_csv, one row per message in
-protocol order, and read_messages_csv, beside it, parses those bytes back
-into the same arrays bit for bit. The eavesdropper's knowledge is exactly
-that published log: true states, process noise, and the cost
-matrices Q and R never appear in it. replay_estimates shows what the log
-leaks: the cloud's entire estimate sequence is reconstructible from public
-model data plus the log, since the replay runs the cloud's own update
-(dplqg.lqg.filter_step). Simulations are bit-reproducible for a given master
-seed (see dplqg.rng for the stream discipline).
+protocol order; its rows alone define that format. read_messages_csv parses
+those bytes back into the same arrays bit for bit, and accepts a file only
+if re-writing what it parsed gives the same rows. The eavesdropper's
+knowledge is exactly that published log: true states, process noise, and
+the cost matrices Q and R never appear in it. replay_estimates shows what
+the log leaks: the cloud's entire estimate sequence is reconstructible from
+public model data plus the log, since the replay runs the cloud's own
+update (dplqg.lqg.filter_step). Simulations are bit-reproducible for a
+given master seed (see dplqg.rng for the stream discipline).
 
 Runs advance in lockstep batches: S runs that share the agents, the seed
 and the control gain L, and differ only in their noise scales sigma_i and
@@ -47,12 +48,13 @@ grid. The batch keeps every run's bits, for three reasons:
 """
 
 from dataclasses import dataclass, field
+from itertools import chain, zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import check_count, check_finite, check_pair, check_positive, check_spd
-from .lqg import filter_step, incremental_cost, synthesize
+from .lqg import filter_step, incremental_cost
 from .output import cells, write_rows
 from .privacy import PrivacySpec, calibrate_sigma
 from .riccati import check_preconditions
@@ -441,20 +443,18 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
                      sums / np.arange(k0 + 1, k0 + T + 1)[:, None])
 
 
-def run_simulation(model, agents, horizon, seed, synthesis=None):
+def run_simulation(model, agents, horizon, seed, synthesis):
     """Run the closed loop for `horizon` steps under a master seed.
 
-    Returns a SimulationTrace. Identical (model, agents, horizon, seed)
-    produce bit-identical traces. synthesis may be passed to reuse a
-    precomputed SynthesisResult; by default it is computed here. The run
-    is a lockstep batch of one (_lockstep), whose chunks are copied into
-    the trace's arrays. Agents that differ from the model's (_check_agents),
+    synthesis is the model's SynthesisResult (dplqg.lqg.synthesize), whose
+    gains L and Kalman gain the cloud applies. Returns a SimulationTrace.
+    Identical (model, agents, horizon, seed, synthesis) produce
+    bit-identical traces. The run is a lockstep batch of one (_lockstep),
+    whose chunks are copied into the trace's arrays. Agents that differ from the model's (_check_agents),
     a horizon or seed that is not an integer >= 0, and a synthesis whose L
     or Kalman gain is not shaped for the model raise ValueError.
     """
     agents = _check_agents(model, agents, horizon, [seed])
-    if synthesis is None:
-        synthesis = synthesize(model)
     L, sigmas, gains = _check_gains(model, synthesis.L, [model.sigmas],
                                     [synthesis.kalman_gain])
     n, m = model.n, model.m
@@ -526,11 +526,6 @@ def replay_estimates(log, model, filter_synthesis, x_hat0):
 # Wire log CSV (the float format and row bytes are dplqg.output's)
 # ----------------------------------------------------------------------
 
-# Steps formatted per write: few enough that the cell strings of one batch
-# stay small next to the trace, many enough to amortize the per-batch calls.
-CSV_BATCH_STEPS = 256
-
-
 def _padding(widths, width):
     """The empty cells that pad each of the given widths to `width`."""
     return [[""] * (width - w) for w in widths]
@@ -544,7 +539,7 @@ def write_trace_csv(trace, path):
     dimensions (narrower agents leave trailing cells empty), then the
     network-level stage_cost and avg_cost repeated on each agent row of the
     step. Floats are written with repr, so identical traces give identical
-    bytes. Rows are formatted CSV_BATCH_STEPS steps at a time.
+    bytes. Rows are formatted SIM_CHUNK_STEPS steps at a time.
     """
     p, q = max(trace.state_dims), max(trace.input_dims)
     header = ["k", "agent_id"]
@@ -559,8 +554,8 @@ def write_trace_csv(trace, path):
     layout = [(str(i), *cols[i::N], pad_x[i], pad_u[i]) for i in range(N)]
     with open(path, "w", newline="") as fh:
         write_rows(fh, [header])
-        for k0 in range(0, trace.horizon, CSV_BATCH_STEPS):
-            steps = slice(k0, k0 + CSV_BATCH_STEPS)
+        for k0 in range(0, trace.horizon, SIM_CHUNK_STEPS):
+            steps = slice(k0, k0 + SIM_CHUNK_STEPS)
             block = np.column_stack([a[steps] for a in (
                 trace.x, trace.x_hat, trace.u, trace.y_bar,
                 trace.stage_cost, trace.avg_cost)])
@@ -573,73 +568,75 @@ def write_trace_csv(trace, path):
             write_rows(fh, rows)
 
 
-def write_messages_csv(log, path):
-    """Write a WireLog as CSV: kind, sender, receiver, k, payload cells.
-
-    Each step's 2 N rows come in protocol order (_step_slots, which
-    read_messages_csv also follows), formatted straight from the log's
-    arrays, CSV_BATCH_STEPS steps at a time. Payload columns run to the
-    widest agent state or input dimension (none for an empty log); narrower
-    payloads leave trailing cells empty.
-    """
+def _message_rows(log):
+    """The rows of messages.csv for a WireLog, in batches: the header, then
+    each step's 2 N rows in protocol order (_step_slots), SIM_CHUNK_STEPS
+    steps per batch. These rows alone define the format."""
     widths = log.state_dims + log.input_dims
     width = max(widths) if len(log) else 0
     # message r's payload is slice r of the step's [y_bar | u] row
     layout = list(zip(_step_slots(len(log.state_dims)), _slices(widths),
                       _padding(widths, width)))
+    yield [["kind", "sender", "receiver", "k"] + [f"payload{j}" for j in range(width)]]
+    for k0 in range(0, log.horizon, SIM_CHUNK_STEPS):
+        steps = slice(k0, k0 + SIM_CHUNK_STEPS)
+        rows = []
+        for j, text in enumerate(cells(np.hstack((log.y_bar[steps], log.u[steps])))):
+            k = str(k0 + j)
+            for slot, s, pad in layout:
+                rows.append([*slot, k, *text[s], *pad])
+        yield rows
+
+
+def write_messages_csv(log, path):
+    """Write a WireLog as CSV: kind, sender, receiver, k, payload cells.
+
+    Payload columns run to the widest agent state or input dimension (none
+    for an empty log); narrower payloads leave trailing cells empty.
+    """
     with open(path, "w", newline="") as fh:
-        write_rows(fh, [["kind", "sender", "receiver", "k"]
-                        + [f"payload{j}" for j in range(width)]])
-        for k0 in range(0, log.horizon, CSV_BATCH_STEPS):
-            steps = slice(k0, k0 + CSV_BATCH_STEPS)
-            rows = []
-            for j, text in enumerate(cells(np.hstack((log.y_bar[steps],
-                                                       log.u[steps])))):
-                k = str(k0 + j)
-                for slot, s, pad in layout:
-                    rows.append([*slot, k, *text[s], *pad])
+        for rows in _message_rows(log):
             write_rows(fh, rows)
 
 
 def read_messages_csv(path, model):
     """Parse the bytes write_messages_csv wrote into `model`'s WireLog.
 
-    Cells are split on commas, which dplqg.output.write_rows never quotes,
-    and float() reads each repr back to its double, so the log comes back
-    bit for bit. Only the writer's bytes parse: its header for this model,
-    then the 2 N messages of each step 0..T-1 in protocol order, the step in
-    decimal and each payload in its agent's first cells, the rest empty.
-    Anything else raises ValueError: another header, slot, step, cell count
-    or payload width, a log that ends inside a step, a duplicated or missing
-    message, and a payload cell that is not repr(float(cell)), such as
-    "+0.5", "5E-1" or "Infinity", named by its message row (1 is the row
-    below the header) and payload column.
+    Cells are split on commas, which dplqg.output.write_rows never quotes.
+    Row j below the header is message j - 1 of protocol order, and float()
+    reads its payload cells back to their doubles, bit for bit. The file is
+    then compared with the writer's rows for that log, so the reader keeps
+    no rule of its own. A payload cell float() refuses, and the first cell
+    that differs from the writer's (another header, slot or step, a missing
+    or extra message or cell, "+0.5" for "0.5"), raise ValueError naming
+    the column and the message row (1 is the row below the header), or the
+    file line of the header or of a row past the writer's last.
     """
     with open(path, newline="") as fh:
-        header, *rows = [line.rstrip("\r\n").split(",") for line in fh] or [[]]
+        lines = [line.rstrip("\r\n").split(",") for line in fh] or [[]]
     N, widths = model.n_agents, model.state_dims + model.input_dims
-    width = max(widths) if rows else 0
-    expected = ["kind", "sender", "receiver", "k"] + [f"payload{j}" for j in range(width)]
-    if header != expected:
-        raise ValueError(f"messages header {header} is not {expected}")
-    if len(rows) % (2 * N):
-        raise ValueError(f"wire log of {len(rows)} messages ends inside a step of {2 * N}")
-    slots, values = _step_slots(N), []
-    for j, row in enumerate(rows):
-        k, r = divmod(j, 2 * N)
-        payload, pad = row[4:4 + widths[r]], row[4 + widths[r]:]
-        if len(row) != len(expected) or row[:4] != [*slots[r], str(k)] or any(pad):
-            raise ValueError(f"message row {row} is not {slots[r]} at step {k} with "
-                             f"{widths[r]} of {width} payload cells filled")
-        for c, cell in enumerate(payload):
+    T, slots, cols = (len(lines) - 1) // (2 * N), _step_slots(N), _slices(widths)
+    # a payload cell missing from a short row stays NaN, which the
+    # comparison then names
+    values = np.full((T, model.n + model.m), np.nan)
+    for j, row in enumerate(lines[1:1 + 2 * N * T], 1):
+        k, r = divmod(j - 1, 2 * N)
+        for c, cell in enumerate(row[4:4 + widths[r]]):
             try:
-                value = float(cell)
+                values[k, cols[r].start + c] = float(cell)
             except ValueError:
-                value = None
-            if value is None or repr(value) != cell:
-                raise ValueError(f"message row {j + 1} ({slots[r][0]} at step {k}): "
-                                 f"payload{c} cell {cell!r} is not the repr of a double")
-            values.append(value)
-    T = len(rows) // (2 * N)
-    y_bar, u = np.hsplit(np.reshape(values, (T, model.n + model.m)), [model.n])
-    return WireLog(y_bar, u, model.state_dims, model.input_dims)
+                raise ValueError(f"message row {j} ({slots[r][0]} at step {k}): payload{c} "
+                                 f"cell {cell!r} is not the repr of a double") from None
+    log = WireLog(*np.hsplit(values, [model.n]), model.state_dims, model.input_dims)
+    expected = chain.from_iterable(_message_rows(log))
+    header = next(expected)
+    for j, (got, want) in enumerate(zip_longest(lines, chain([header], expected))):
+        if got != want:
+            want = want or []
+            c = next(c for c, (a, b) in enumerate(zip_longest(got, want)) if a != b)
+            where = (f"message row {j} ({want[0]} at step {want[3]})" if j and want
+                     else f"messages.csv line {j + 1}")
+            column = header[c] if c < len(header) else f"column {c + 1}"
+            got, want = (repr(row[c]) if c < len(row) else "(none)" for row in (got, want))
+            raise ValueError(f"{where}: {column} cell {got} is not the writer's {want}")
+    return log

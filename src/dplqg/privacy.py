@@ -251,10 +251,17 @@ def kappa(delta, epsilon):
     -------
     float
         The calibration factor. Strictly decreasing in both arguments.
+        ValueError names epsilon when the factor is not a finite positive
+        double: 2 epsilon overflows near the largest double, the factor
+        for a subnormal epsilon.
     """
     epsilon, delta = _privacy_params(epsilon, delta)
     k = q_inverse(delta)
-    return (k + math.sqrt(k * k + 2.0 * epsilon)) / (2.0 * epsilon)
+    factor = (k + math.sqrt(k * k + 2.0 * epsilon)) / (2.0 * epsilon)
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"epsilon = {epsilon} gives the calibration factor {factor}, "
+                         "not a finite positive double")
+    return factor
 
 
 # ----------------------------------------------------------------------

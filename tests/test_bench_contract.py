@@ -1,6 +1,7 @@
 """The benchmark's view of the package: every public name bench/measure.py
-uses must exist, and every call it makes into the package must bind to the
-callee's signature.
+uses must exist, every call it makes into the package must bind to the
+callee's signature, and every attribute it reads from what the package
+returns must exist.
 
 bench/ is outside the default test paths, so a rename or removal there
 would go unnoticed until the benchmark runs. These tests read the file with
@@ -11,9 +12,16 @@ import ast
 import importlib
 import inspect
 import types
+from dataclasses import replace
 from pathlib import Path
 
-MEASURE = Path(__file__).resolve().parent.parent / "bench" / "measure.py"
+from dplqg.config import build_network, load
+from dplqg.lqg import synthesize
+from dplqg.network import run_simulation
+from dplqg.privacy import sensitivity_bound, verify_dp_inequality
+
+ROOT = Path(__file__).resolve().parent.parent
+MEASURE = ROOT / "bench" / "measure.py"
 
 
 def _resolve(module, name):
@@ -98,3 +106,36 @@ def test_bench_calls_bind_to_package_signatures():
     # the check is not vacuous: the calls the benchmark depends on are seen
     assert {"build_network", "resolve_costs", "run_simulation", "synthesize",
             "cli.main"} <= bound
+
+
+def _returned_objects():
+    """A real object of each kind whose attributes bench/measure.py reads,
+    keyed by the local name it reads them through: the shipped case study,
+    its network, synthesis, a 2-step run, an agent and its privacy audit."""
+    cfg = replace(load(ROOT / "configs" / "case_study_2agent.json"), horizon=2)
+    model, agents = build_network(cfg)
+    syn = synthesize(model)
+    ag = agents[0]
+    audit = verify_dp_inequality(sensitivity_bound(ag.C, ag.privacy.adjacency_bound),
+                                 model.sigmas[0], ag.privacy.epsilon, ag.privacy.delta)
+    trace = run_simulation(model, agents, cfg.horizon, cfg.seed, synthesis=syn)
+    return {"cfg": cfg, "model": model, "syn": syn, "trace": trace, "ag": ag,
+            "audit": audit}
+
+
+def test_bench_attribute_reads_resolve():
+    # A renamed field, such as SimulationTrace.x_hat0, must fail here and
+    # not only when the benchmark runs.
+    tree = ast.parse(MEASURE.read_text(), filename=str(MEASURE))
+    objects = _returned_objects()
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in objects}
+    missing = [f"{name}.{attr}" for name, attr in sorted(read)
+               if not hasattr(objects[name], attr)]
+    assert not missing, f"bench/measure.py reads attributes the package lacks: {missing}"
+    # the check is not vacuous: every kind of object is read, and the
+    # benchmark's wire-log and synthesis reads are seen
+    assert {name for name, _ in read} == set(objects)
+    assert {("trace", "x_hat0"), ("trace", "messages"), ("syn", "filter"),
+            ("model", "sigmas"), ("audit", "min_slack")} <= read

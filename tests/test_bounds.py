@@ -367,6 +367,11 @@ def test_bound_inputs_validated():
         posterior_variance_diag(np.eye(2), np.eye(2), full)
     with pytest.raises(ValueError, match="positive"):
         posterior_variance_diag(np.eye(2), np.eye(2), np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="W must have positive diagonal"):
+        posterior_variance_diag(np.diag([1.0, 0.0]), np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="Sigma must be 2 x 2, got shape"):
+        entropy_bound_report(0.5 * np.eye(2), np.eye(2), np.eye(2), np.eye(2),
+                             Sigma=np.eye(3))
     with pytest.raises(ValueError, match="symmetric"):
         variance_floor(np.eye(2), np.array([[1.0, 0.4], [0.0, 1.0]]), np.eye(2), np.eye(2))
     with pytest.raises(ValueError):

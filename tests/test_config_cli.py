@@ -141,6 +141,15 @@ def test_bad_matrix_and_bad_json():
     raw["agents"][0]["A"] = [1.0, 0.0]  # not a list of rows
     with pytest.raises(ConfigError, match="list of rows"):
         from_dict(raw)
+    raw["agents"][0]["A"] = [[1.0, "x"], [0.0, 1.0]]
+    with pytest.raises(ConfigError, match=r"agents\[0\]\.A: not a numeric matrix"):
+        from_dict(raw)
+    with pytest.raises(ConfigError, match=r"agents\[0\]: expected an object"):
+        from_dict(_config_dict(agents=[[1.0]]))
+    with pytest.raises(ConfigError, match="'agents' must be a list"):
+        from_dict(_config_dict(agents={"A": [[1.0]]}))
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        loads("[1, 2]")
     with pytest.raises(ConfigError, match="invalid JSON"):
         loads("{not json")
     with pytest.raises(ConfigError):
@@ -304,6 +313,12 @@ def test_cli_simulate_trace_and_summary(tmp_path):
     assert summary["steps"] == "12"
     assert summary["message_count"] == "24"
     assert float(summary["final_avg_cost"]) > 0.0
+    # no steps: no average cost, and a wire log of the header alone
+    assert main(["simulate", "--config", cfg_path, "--steps", "0",
+                 "--out", str(out)]) == 0
+    summary = (out / "simulate_summary.txt").read_text()
+    assert "message_count = 0\nfinal_avg_cost = none\n" in summary
+    assert (out / "messages.csv").read_bytes() == b"kind,sender,receiver,k\r\n"
 
 
 def test_cli_simulate_wire_file_replays_to_trace_estimates(tmp_path):
@@ -506,6 +521,10 @@ def test_sweep_epsilon_rejects_bad_grid():
         sweep_epsilon(replace(cfg, horizon=2.5), grid=[1.0], n_seeds=1)
     with pytest.raises(ConfigError, match="seed must be an integer"):
         sweep_epsilon(replace(cfg, seed=2.7), grid=[1.0], n_seeds=1)
+    # 2 epsilon overflows, kappa overflows, or epsilon is not finite
+    for eps in (1e308, 1e-320, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            sweep_epsilon(cfg, grid=[1.0, eps], n_seeds=1)
     assert len(DEFAULT_SWEEP_GRID) >= 4
 
 
@@ -574,6 +593,14 @@ def test_cli_exit_code_invalid_config(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, _config_dict())
     assert main(["sweep-epsilon", "--config", cfg_path, "--grid", "a,b",
                  "--out", str(tmp_path / "x")]) == 2
+    for grid in ("1e308", "1e-320", "inf"):
+        capsys.readouterr()
+        assert main(["sweep-epsilon", "--config", cfg_path, "--grid", grid,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: epsilon")
+    assert main(["sweep-epsilon", "--config", cfg_path, "--steps", "0",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "sweep needs at least one simulation step" in capsys.readouterr().err
 
     for verb in ("synthesize", "simulate", "sweep-epsilon"):
         capsys.readouterr()

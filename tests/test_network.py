@@ -1,6 +1,7 @@
 """Tests for network assembly, simulation, the wire log, and replay."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from dplqg.network import (
     CLOUD,
     CONTROL,
     MEASUREMENT,
-    CSV_BATCH_STEPS,
     SIM_CHUNK_STEPS,
     AgentModel,
     NetworkModel,
@@ -220,8 +220,8 @@ def test_state_and_input_slices():
 
 def test_simulation_is_bit_reproducible():
     model, agents = _two_agent_setup()
-    t1 = run_simulation(model, agents, horizon=40, seed=11)
-    t2 = run_simulation(model, agents, horizon=40, seed=11)
+    t1 = run_simulation(model, agents, horizon=40, seed=11, synthesis=synthesize(model))
+    t2 = run_simulation(model, agents, horizon=40, seed=11, synthesis=synthesize(model))
     assert np.array_equal(t1.x, t2.x)
     assert np.array_equal(t1.x_hat, t2.x_hat)
     assert np.array_equal(t1.u, t2.u)
@@ -231,8 +231,8 @@ def test_simulation_is_bit_reproducible():
 
 def test_simulation_seed_changes_trace():
     model, agents = _two_agent_setup()
-    t1 = run_simulation(model, agents, horizon=10, seed=1)
-    t2 = run_simulation(model, agents, horizon=10, seed=2)
+    t1 = run_simulation(model, agents, horizon=10, seed=1, synthesis=synthesize(model))
+    t2 = run_simulation(model, agents, horizon=10, seed=2, synthesis=synthesize(model))
     assert not np.array_equal(t1.y_bar, t2.y_bar)
 
 
@@ -246,7 +246,7 @@ def _published_rows(log, path):
 def test_message_count_and_protocol_order(tmp_path):
     model, agents = _two_agent_setup()
     T = 17
-    trace = run_simulation(model, agents, horizon=T, seed=5)
+    trace = run_simulation(model, agents, horizon=T, seed=5, synthesis=synthesize(model))
     N = len(agents)
     assert len(trace.messages) == 2 * N * T
     rows = _published_rows(trace.messages, tmp_path / "messages.csv")
@@ -264,7 +264,7 @@ def test_message_count_and_protocol_order(tmp_path):
 def test_trace_shapes_and_cost_bookkeeping():
     model, agents = _two_agent_setup()
     T = 25
-    trace = run_simulation(model, agents, horizon=T, seed=3)
+    trace = run_simulation(model, agents, horizon=T, seed=3, synthesis=synthesize(model))
     assert trace.x.shape == (T, 4)
     assert trace.u.shape == (T, 2)
     assert trace.horizon == T
@@ -278,8 +278,8 @@ def test_trace_shapes_and_cost_bookkeeping():
 
 def test_estimator_used_for_u_is_the_logged_estimate():
     model, agents = _two_agent_setup()
-    trace = run_simulation(model, agents, horizon=12, seed=8)
     syn = synthesize(model)
+    trace = run_simulation(model, agents, horizon=12, seed=8, synthesis=syn)
     for k in range(trace.horizon):
         assert np.array_equal(trace.u[k], syn.L @ trace.x_hat[k])
     # step 0 uses the public prior, measurements start updating at step 1
@@ -289,10 +289,10 @@ def test_estimator_used_for_u_is_the_logged_estimate():
 
 def test_horizon_zero_and_agent_mismatch():
     model, agents = _two_agent_setup()
-    empty = run_simulation(model, agents, horizon=0, seed=1)
+    syn = synthesize(model)
+    empty = run_simulation(model, agents, horizon=0, seed=1, synthesis=syn)
     assert empty.x.shape == (0, 4)
     assert len(empty.messages) == 0
-    syn = synthesize(model)
 
     def single(agents, horizon, seed, synthesis=syn):
         return run_simulation(model, agents, horizon, seed, synthesis=synthesis)
@@ -360,16 +360,18 @@ def test_x0_true_and_x0_cov_initialization():
         privacy=PrivacySpec(1.0, 0.1), x0_mean=np.zeros(2), x0_true=secret,
     )
     model = assemble_network([agent_fixed], Q=np.eye(2), R=np.eye(1))
-    trace = run_simulation(model, [agent_fixed], horizon=1, seed=0)
+    trace = run_simulation(model, [agent_fixed], horizon=1, seed=0,
+                           synthesis=synthesize(model))
     assert np.array_equal(trace.x[0], secret)
     assert np.array_equal(trace.x_hat[0], np.zeros(2))
 
     # drawn initial state: reproducible and actually random
     agent_drawn = _double_integrator_agent(1.0, 0.1, x0_cov=np.eye(2))
     model2 = assemble_network([agent_drawn], Q=np.eye(2), R=np.eye(1))
-    ta = run_simulation(model2, [agent_drawn], horizon=1, seed=21)
-    tb = run_simulation(model2, [agent_drawn], horizon=1, seed=21)
-    tc = run_simulation(model2, [agent_drawn], horizon=1, seed=22)
+    syn2 = synthesize(model2)
+    ta = run_simulation(model2, [agent_drawn], horizon=1, seed=21, synthesis=syn2)
+    tb = run_simulation(model2, [agent_drawn], horizon=1, seed=21, synthesis=syn2)
+    tc = run_simulation(model2, [agent_drawn], horizon=1, seed=22, synthesis=syn2)
     assert np.array_equal(ta.x[0], tb.x[0])
     assert not np.array_equal(ta.x[0], tc.x[0])
     assert not np.array_equal(ta.x[0], np.zeros(2))
@@ -381,8 +383,10 @@ def test_privacy_level_does_not_touch_other_streams():
     # the scale sigma differs at k = 0.
     model_a, agents_a = _two_agent_setup(eps1=1.0)
     model_b, agents_b = _two_agent_setup(eps1=3.0)
-    ta = run_simulation(model_a, agents_a, horizon=3, seed=777)
-    tb = run_simulation(model_b, agents_b, horizon=3, seed=777)
+    ta = run_simulation(model_a, agents_a, horizon=3, seed=777,
+                        synthesis=synthesize(model_a))
+    tb = run_simulation(model_b, agents_b, horizon=3, seed=777,
+                        synthesis=synthesize(model_b))
     assert np.array_equal(ta.x[0], tb.x[0])
     za = (ta.y_bar[0, 2:] - ta.x[0, 2:]) / model_a.sigmas[1]
     zb = (tb.y_bar[0, 2:] - tb.x[0, 2:]) / model_b.sigmas[1]
@@ -488,6 +492,29 @@ def test_replay_rejects_unknown_message_kind(name, corrupt, tmp_path):
         replay_estimates(read_messages_csv(path, model), model, syn.filter, trace.x_hat0)
 
 
+def test_reader_names_each_corrupted_cell(tmp_path):
+    # Every cell of a mixed-width log, corrupted alone, is rejected and named
+    # by its row and column: a non-empty cell gets a trailing space, and an
+    # empty padding cell an "x".
+    agents = [_scalar_agent(), _double_integrator_agent(1.0, 0.1)]
+    model = assemble_network(agents, Q=np.eye(3), R=np.eye(2))
+    trace = run_simulation(model, agents, horizon=3, seed=2, synthesis=synthesize(model))
+    path = tmp_path / "messages.csv"
+    write_messages_csv(trace.messages, path)
+    lines = path.read_bytes().decode().split("\r\n")[:-1]
+    header = lines[0].split(",")
+    corrupted = set()
+    for j, line in enumerate(lines):
+        for c, cell in enumerate(line.split(",")):
+            corrupted.add(cell == "")
+            bad = _set_cell(lines, j - 1, c, cell + " " if cell else "x")
+            path.write_bytes("".join(text + "\r\n" for text in bad).encode())
+            row = "messages.csv line 1" if j == 0 else f"message row {j} ("
+            with pytest.raises(ValueError, match=rf"^{re.escape(row)}.*: {header[c]} cell "):
+                read_messages_csv(path, model)
+    assert len(lines) * len(header) == 78 and corrupted == {True, False}
+
+
 def test_replay_rejects_a_bad_prior():
     # The public prior is one finite vector of the model's n states: a (1,)
     # prior must not broadcast over them, on a log of any length.
@@ -513,7 +540,7 @@ def test_replay_rejects_a_log_of_other_agents():
 
 def test_wire_log_view_indexing():
     model, agents = _two_agent_setup()
-    trace = run_simulation(model, agents, horizon=4, seed=3)
+    trace = run_simulation(model, agents, horizon=4, seed=3, synthesis=synthesize(model))
     log = trace.messages
     assert len(log) == 16
     # the log's arrays cannot be written through it
@@ -791,7 +818,8 @@ def test_wire_never_carries_true_state_values(tmp_path):
     # the wire may coincide with any true state entry. Exact comparison is
     # the point: even a single leaked double would intersect.
     model, agents = _two_agent_setup(x0_cov=np.eye(2))
-    trace = run_simulation(model, agents, horizon=50, seed=13)
+    trace = run_simulation(model, agents, horizon=50, seed=13,
+                           synthesis=synthesize(model))
     true_values = set(trace.x.ravel().tolist())
     rows = _published_rows(trace.messages, tmp_path / "messages.csv")
     wire_values = {float(cell) for row in rows for cell in row[4:] if cell}
@@ -805,7 +833,7 @@ def test_wire_never_carries_true_state_values(tmp_path):
 
 def test_trace_csv_deterministic_and_parseable(tmp_path):
     model, agents = _two_agent_setup()
-    trace = run_simulation(model, agents, horizon=6, seed=4)
+    trace = run_simulation(model, agents, horizon=6, seed=4, synthesis=synthesize(model))
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_trace_csv(trace, p1)
@@ -824,7 +852,7 @@ def test_trace_csv_deterministic_and_parseable(tmp_path):
 
 def test_messages_csv_layout(tmp_path):
     model, agents = _two_agent_setup()
-    trace = run_simulation(model, agents, horizon=3, seed=4)
+    trace = run_simulation(model, agents, horizon=3, seed=4, synthesis=synthesize(model))
     path = tmp_path / "m.csv"
     write_messages_csv(trace.messages, path)
     lines = path.read_text().splitlines()
@@ -844,7 +872,7 @@ def test_mixed_dimension_agents_pad_csv(tmp_path):
         _double_integrator_agent(1.0, 0.1),
     ]
     model = assemble_network(agents, Q=np.eye(3), R=np.eye(2))
-    trace = run_simulation(model, agents, horizon=2, seed=6)
+    trace = run_simulation(model, agents, horizon=2, seed=6, synthesis=synthesize(model))
     path = tmp_path / "mixed.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()
@@ -923,7 +951,7 @@ def _traces(draw):
     N = draw(st.integers(1, 3))
     dims = st.lists(st.integers(1, 3), min_size=N, max_size=N)
     state_dims, input_dims = tuple(draw(dims)), tuple(draw(dims))
-    B = CSV_BATCH_STEPS
+    B = SIM_CHUNK_STEPS
     T = draw(st.sampled_from([0, 1, B - 1, B, B + 1]))
     pool = np.array(_AWKWARD_FLOATS + draw(st.lists(st.floats(), max_size=8)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -298,8 +298,13 @@ def test_kappa_validates_arguments():
         kappa(0.0, 1.0)
     with pytest.raises(ValueError):
         kappa(0.6, 1.0)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         kappa(0.1, math.inf)
+    # 2 epsilon overflows to inf (factor NaN); a subnormal epsilon overflows
+    # the factor to inf
+    for eps, factor in ((1e308, "nan"), (1e-320, "inf")):
+        with pytest.raises(ValueError, match=f"^epsilon = .* calibration factor {factor},"):
+            kappa(0.1, eps)
 
 
 # ----------------------------------------------------------------------
@@ -387,10 +392,11 @@ def test_nonfinite_output_map_is_rejected(bad):
 
 def test_calibrated_sigma_overflow_is_rejected():
     # a finite C, epsilon and budget can still overflow kappa * s1(C) * b
-    with pytest.raises(ValueError, match="sigma must be >= 0, got inf"):
+    with pytest.raises(ValueError, match="sigma must be >= 0 and finite, got inf"):
         calibrate_sigma(PrivacySpec(epsilon=1.0, delta=0.1, adjacency_bound=10.0),
                         np.array([[1e308]]))
-    with pytest.raises(ValueError, match="sigma must be >= 0, got inf"):
+    # a subnormal epsilon overflows kappa itself, which names epsilon
+    with pytest.raises(ValueError, match="epsilon = 1e-310 gives the calibration factor inf"):
         calibrate_sigma(PrivacySpec(epsilon=1e-310, delta=0.1), np.eye(1))
 
 

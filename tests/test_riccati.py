@@ -358,6 +358,8 @@ def test_dimension_mismatches_raise_value_error():
         solve_dare_control(np.eye(2), np.zeros((3, 1)), np.eye(2), np.eye(1))
     with pytest.raises(ValueError):
         solve_dare_control(np.eye(2), np.zeros((2, 1)), np.eye(3), np.eye(1))
+    with pytest.raises(ValueError, match="R must be 1 x 1"):
+        solve_dare_control(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         solve_dare_filter(np.eye(2), np.zeros((1, 3)), np.eye(2), np.eye(1))
 
