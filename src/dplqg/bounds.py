@@ -126,9 +126,9 @@ def logdet(M):
     """log det of a symmetric positive definite matrix via Cholesky.
 
     Twice the sum of the logs of the Cholesky diagonal; raises ValueError
-    when the matrix is not positive definite.
+    when the matrix is not square, finite and positive definite.
     """
-    M = np.asarray(M, dtype=float)
+    M = check_square(M, "matrix")
     try:
         chol = np.linalg.cholesky(0.5 * (M + M.T))
     except np.linalg.LinAlgError:
@@ -145,7 +145,7 @@ def homogeneous_entropy_estimate(A, process_var, sigma):
     Keeps only the terms of the full cap that matter when sigma^2 >> w and
     s_min(A)^2 << 1; doubling sigma then roughly quadruples the first term.
     """
-    A = np.asarray(A, dtype=float)
+    A = check_square(A, "A")
     process_var = check_positive(process_var, "process_var")
     sigma = check_positive(sigma, "sigma")
     return _homogeneous_estimate(np.linalg.svd(A, compute_uv=False), A.shape[0],

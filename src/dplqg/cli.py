@@ -37,7 +37,7 @@ from .errors import AssumptionError, ConfigError, ConvergenceError, check_count
 from .lqg import synthesize
 from .network import (assemble_network, average_costs, run_simulation, write_messages_csv,
                       write_trace_csv)
-from .output import fmt, write_kv, write_matrix, write_rows
+from .output import fmt, render_rows, write_kv, write_matrix
 from .privacy import calibrate_sigma
 from .riccati import (dare_residual_control, dare_residual_filter, solve_dare_control,
                       solve_dare_filter)
@@ -157,13 +157,11 @@ def sweep_epsilon(cfg, grid, n_seeds):
 
 
 def cmd_sweep_epsilon(cfg, grid, n_seeds):
-    """Run sweep_epsilon and write sweep.csv."""
+    """Run sweep_epsilon and write sweep.csv, one column per key of its rows."""
     rows = sweep_epsilon(cfg, grid, n_seeds)
     out_dir = _out_dir(cfg)
-    fields = ["epsilon", "sigma", "mean_cost", "logdet_cov",
-              "entropy_bound", "condition_margin"]
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        write_rows(fh, [fields] + [[fmt(row[f]) for f in fields] for row in rows])
+    (out_dir / "sweep.csv").write_text(render_rows([list(rows[0])]) + render_rows(
+        [range(len(rows[0]))], [list(row.values()) for row in rows]), newline="")
     print(f"wrote sweep results to {out_dir}")
     return 0
 

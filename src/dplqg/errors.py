@@ -3,9 +3,9 @@
 The CLI maps each exception type onto a dedicated exit code, so synthesis
 and simulation code should raise the most specific type that applies rather
 than a bare ValueError. The check_* functions write the shared input rules
-once: finite arrays, square matrices, a square A with a B of as many rows,
-symmetry within 1e-10 * max(1, max |M_ij|), positive definite weights,
-finite positive (or >= 0) scalars, and integers >= 0 such as seeds.
+once: finite arrays, finite square matrices, a square A with a finite B of
+as many rows, symmetry within 1e-10 * max(1, max |M_ij|), positive definite
+weights, finite positive (or >= 0) scalars, and integers >= 0 such as seeds.
 """
 
 import numpy as np
@@ -56,19 +56,21 @@ def check_finite(M, name):
 
 
 def check_square(M, name):
-    """M as a float array; ValueError naming it unless it is a square matrix."""
+    """M as a float array; ValueError naming it unless it is a finite square matrix."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
+    check_finite(M, name)
     return M
 
 
 def check_pair(A, B, name="B"):
-    """Square A and a matrix B with as many rows, as float arrays (ValueError)."""
+    """Finite square A and a finite B with as many rows, as float arrays (ValueError)."""
     A = check_square(A, "A")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ValueError(f"{name} must have {A.shape[0]} rows, got shape {B.shape}")
+    check_finite(B, name)
     return A, B
 
 
@@ -83,7 +85,6 @@ def check_spd(M, name):
     """M symmetrized; ValueError unless square and finite, AssumptionError
     naming M unless symmetric positive definite."""
     M = check_square(M, name)
-    check_finite(M, name)
     check_symmetric(M, name, AssumptionError)
     M = 0.5 * (M + M.T)
     eigs = np.linalg.eigvalsh(M)

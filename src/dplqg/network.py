@@ -11,16 +11,16 @@ Protocol per step k (all agents, then the cloud, then all agents):
 
 The wire log is the trace's y_bar and u arrays, which trace.messages holds
 read-only as a WireLog: row k holds the 2 N messages of step k. It is
-published as messages.csv by write_messages_csv, one row per message in
-protocol order; its rows alone define that format. read_messages_csv parses
-those bytes back into the same arrays bit for bit, and accepts a file only
-if re-writing what it parsed gives the same rows. The eavesdropper's
-knowledge is exactly that published log: true states, process noise, and
-the cost matrices Q and R never appear in it. replay_estimates shows what
-the log leaks: the cloud's entire estimate sequence is reconstructible from
-public model data plus the log, since the replay runs the cloud's own
-update (dplqg.lqg.filter_step). Simulations are bit-reproducible for a
-given master seed (see dplqg.rng for the stream discipline).
+published as messages.csv, one row per message in protocol order, through
+a row template that alone defines the format; read_messages_csv parses the
+bytes back into the same arrays bit for bit, and accepts a file only if its
+lines are the template's lines for what it parsed. The eavesdropper knows
+exactly that log: true states, process noise, and the cost matrices Q and
+R never appear in it. replay_estimates shows what the log leaks: the
+cloud's entire estimate sequence is reconstructible from public model data
+plus the log, since the replay runs the cloud's own update
+(dplqg.lqg.filter_step). Simulations are bit-reproducible for a given
+master seed (see dplqg.rng for the stream discipline).
 
 Runs advance in lockstep batches: S runs that share the agents, the seed
 and the control gain L, and differ only in their noise scales sigma_i and
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import check_count, check_finite, check_pair, check_positive, check_spd
 from .lqg import filter_step, incremental_cost
-from .output import cells, write_rows
+from .output import STEP, render_rows
 from .privacy import PrivacySpec, calibrate_sigma
 from .riccati import check_preconditions
 from .rng import INIT_STATE, PRIVACY_NOISE, PROCESS_NOISE, derive_stream, psd_factor
@@ -523,12 +523,21 @@ def replay_estimates(log, model, filter_synthesis, x_hat0):
 
 
 # ----------------------------------------------------------------------
-# Wire log CSV (the float format and row bytes are dplqg.output's)
+# CSV files: a header, then each step's rows through a dplqg.output template
 # ----------------------------------------------------------------------
 
-def _padding(widths, width):
-    """The empty cells that pad each of the given widths to `width`."""
-    return [[""] * (width - w) for w in widths]
+def _cells(cols, width):
+    """The block columns of the slice cols, then empty cells up to width."""
+    return [*range(cols.start, cols.stop), *[""] * (width - (cols.stop - cols.start))]
+
+
+def _csv_text(header, step, arrays):
+    """A CSV file's text in blocks: the header, then the row template step
+    per row of the arrays side by side, SIM_CHUNK_STEPS rows a block."""
+    yield render_rows([header])
+    for k0 in range(0, len(arrays[0]), SIM_CHUNK_STEPS):
+        steps = slice(k0, k0 + SIM_CHUNK_STEPS)
+        yield render_rows(step, np.column_stack([a[steps] for a in arrays]), k0)
 
 
 def write_trace_csv(trace, path):
@@ -537,9 +546,7 @@ def write_trace_csv(trace, path):
     Columns: k, agent_id, x0..x{p-1}, xhat0..xhat{p-1}, u0..u{q-1},
     ybar0..ybar{p-1} with p, q the largest per-agent state and input
     dimensions (narrower agents leave trailing cells empty), then the
-    network-level stage_cost and avg_cost repeated on each agent row of the
-    step. Floats are written with repr, so identical traces give identical
-    bytes. Rows are formatted SIM_CHUNK_STEPS steps at a time.
+    step's network-level stage_cost and avg_cost, on each agent row.
     """
     p, q = max(trace.state_dims), max(trace.input_dims)
     header = ["k", "agent_id"]
@@ -550,42 +557,22 @@ def write_trace_csv(trace, path):
     # of the step's [x | x_hat | u | y_bar | stage_cost avg_cost] row
     N = len(trace.state_dims)
     cols = _slices(trace.state_dims * 2 + trace.input_dims + trace.state_dims)
-    pad_x, pad_u = _padding(trace.state_dims, p), _padding(trace.input_dims, q)
-    layout = [(str(i), *cols[i::N], pad_x[i], pad_u[i]) for i in range(N)]
+    step = [[STEP, str(i), *chain.from_iterable(map(_cells, cols[i::N], (p, p, q, p))),
+             cols[-1].stop, cols[-1].stop + 1] for i in range(N)]
     with open(path, "w", newline="") as fh:
-        write_rows(fh, [header])
-        for k0 in range(0, trace.horizon, SIM_CHUNK_STEPS):
-            steps = slice(k0, k0 + SIM_CHUNK_STEPS)
-            block = np.column_stack([a[steps] for a in (
-                trace.x, trace.x_hat, trace.u, trace.y_bar,
-                trace.stage_cost, trace.avg_cost)])
-            rows = []
-            for j, text in enumerate(cells(block)):
-                k, costs = str(k0 + j), text[-2:]
-                for i, x, x_hat, u, y_bar, px, pu in layout:
-                    rows.append([k, i, *text[x], *px, *text[x_hat], *px,
-                                 *text[u], *pu, *text[y_bar], *px, *costs])
-            write_rows(fh, rows)
+        fh.writelines(_csv_text(header, step, (trace.x, trace.x_hat, trace.u, trace.y_bar,
+                                               trace.stage_cost, trace.avg_cost)))
 
 
-def _message_rows(log):
-    """The rows of messages.csv for a WireLog, in batches: the header, then
-    each step's 2 N rows in protocol order (_step_slots), SIM_CHUNK_STEPS
-    steps per batch. These rows alone define the format."""
+def _messages_text(log):
+    """messages.csv's text for a WireLog, in blocks; this alone defines it."""
     widths = log.state_dims + log.input_dims
     width = max(widths) if len(log) else 0
     # message r's payload is slice r of the step's [y_bar | u] row
-    layout = list(zip(_step_slots(len(log.state_dims)), _slices(widths),
-                      _padding(widths, width)))
-    yield [["kind", "sender", "receiver", "k"] + [f"payload{j}" for j in range(width)]]
-    for k0 in range(0, log.horizon, SIM_CHUNK_STEPS):
-        steps = slice(k0, k0 + SIM_CHUNK_STEPS)
-        rows = []
-        for j, text in enumerate(cells(np.hstack((log.y_bar[steps], log.u[steps])))):
-            k = str(k0 + j)
-            for slot, s, pad in layout:
-                rows.append([*slot, k, *text[s], *pad])
-        yield rows
+    step = [[*slot, STEP, *_cells(cols, width)]
+            for slot, cols in zip(_step_slots(len(log.state_dims)), _slices(widths))]
+    header = ["kind", "sender", "receiver", "k"] + [f"payload{j}" for j in range(width)]
+    return _csv_text(header, step, (log.y_bar, log.u))
 
 
 def write_messages_csv(log, path):
@@ -595,44 +582,42 @@ def write_messages_csv(log, path):
     for an empty log); narrower payloads leave trailing cells empty.
     """
     with open(path, "w", newline="") as fh:
-        for rows in _message_rows(log):
-            write_rows(fh, rows)
+        fh.writelines(_messages_text(log))
 
 
 def read_messages_csv(path, model):
     """Parse the bytes write_messages_csv wrote into `model`'s WireLog.
 
-    Cells are split on commas, which dplqg.output.write_rows never quotes.
-    Row j below the header is message j - 1 of protocol order, and float()
-    reads its payload cells back to their doubles, bit for bit. The file is
-    then compared with the writer's rows for that log, so the reader keeps
-    no rule of its own. A payload cell float() refuses, and the first cell
-    that differs from the writer's (another header, slot or step, a missing
-    or extra message or cell, "+0.5" for "0.5"), raise ValueError naming
-    the column and the message row (1 is the row below the header), or the
-    file line of the header or of a row past the writer's last.
+    Row j below the header is message j - 1 of protocol order; float()
+    reads its payload cells back to their doubles, bit for bit, and the
+    file's lines, line endings included, must be the writer's lines for
+    that log. A payload cell float() refuses, and the first line that
+    differs ("+0.5" for "0.5", another slot, step or line ending, a missing
+    or extra message or cell), raise ValueError naming the column and the
+    message row (1 is the row below the header), or the file line.
     """
     with open(path, newline="") as fh:
-        lines = [line.rstrip("\r\n").split(",") for line in fh] or [[]]
+        text = fh.read()
     N, widths = model.n_agents, model.state_dims + model.input_dims
-    T, slots, cols = (len(lines) - 1) // (2 * N), _step_slots(N), _slices(widths)
-    # a payload cell missing from a short row stays NaN, which the
-    # comparison then names
+    rows, slots, cols = text.splitlines(), _step_slots(N), _slices(widths)
+    T = max(len(rows) - 1, 0) // (2 * N)
+    # a payload cell missing from a short row stays NaN; the comparison names it
     values = np.full((T, model.n + model.m), np.nan)
-    for j, row in enumerate(lines[1:1 + 2 * N * T], 1):
+    for j, row in enumerate(rows[1:1 + 2 * N * T], 1):
         k, r = divmod(j - 1, 2 * N)
-        for c, cell in enumerate(row[4:4 + widths[r]]):
+        for c, cell in enumerate(row.split(",")[4:4 + widths[r]]):
             try:
                 values[k, cols[r].start + c] = float(cell)
             except ValueError:
                 raise ValueError(f"message row {j} ({slots[r][0]} at step {k}): payload{c} "
                                  f"cell {cell!r} is not the repr of a double") from None
     log = WireLog(*np.hsplit(values, [model.n]), model.state_dims, model.input_dims)
-    expected = chain.from_iterable(_message_rows(log))
-    header = next(expected)
-    for j, (got, want) in enumerate(zip_longest(lines, chain([header], expected))):
+    expected = "".join(_messages_text(log)).splitlines(True)
+    for j, (got, want) in enumerate(zip_longest(text.splitlines(True), expected)):
         if got != want:
-            want = want or []
+            # split at commas, a line's ending stays in its last cell
+            header = expected[0].splitlines()[0].split(",")
+            got, want = (line.split(",") if line else [] for line in (got, want))
             c = next(c for c, (a, b) in enumerate(zip_longest(got, want)) if a != b)
             where = (f"message row {j} ({want[0]} at step {want[3]})" if j and want
                      else f"messages.csv line {j + 1}")

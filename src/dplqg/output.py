@@ -1,10 +1,13 @@
-"""Text output: the one float format and the writers built on it.
+"""Text output: the one float format and the one CSV row template.
 
 Every float is written as its repr, the shortest text that reads back to
-the same double, so identical results give identical bytes.
+the same double, so identical results give identical bytes, and every CSV
+row is rendered through a row template (render_rows).
 """
 
 import numpy as np
+
+STEP = -1  # the template cell that a block row's step number fills
 
 
 def fmt(value):
@@ -18,28 +21,38 @@ def fmt(value):
     return repr(float(value))
 
 
-def cells(block):
-    """The repr of each float of a 2-D array, one list of strings per row,
-    made as the rows are consumed."""
-    return (list(map(repr, row)) for row in block.tolist())
+def render_rows(template, block=((),), k0=0):
+    """The text of a row template filled once per row of the float block.
 
-
-def write_rows(fh, rows):
-    """Write rows of cell strings, each joined by commas and ended by CRLF.
-
-    These are the bytes csv.writer writes in its default (excel) dialect,
-    which quotes only a cell holding a comma, a quote or a line break, or a
-    row that is one empty cell. No cell here needs that: the cells are
-    float reprs, step and agent numbers, names and empty padding, and a row
-    with one cell holds a float.
+    The template is a list of CSV rows, each a list of cells: a str is a
+    literal cell (holding no "%s"), an int the block column whose float's
+    repr fills it, and STEP the step k0 + j of block row j; the default
+    block renders a header once. Cells are joined by commas and rows ended
+    by CRLF, csv.writer's bytes: no cell holds a comma, a quote or a line
+    break and no row is one empty cell.
     """
-    fh.writelines(",".join(row) + "\r\n" for row in rows)
+    block = np.asarray(block, dtype=float)
+    (n, w), j = block.shape, np.arange(len(block))[:, None]
+    # a matrix row is its block row: joined directly, as reordering wide rows costs more
+    if [[*row] for row in template] == [[*range(w)]]:
+        return "".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
+    text = "".join(",".join("%s" if isinstance(c, int) else c for c in row) + "\r\n"
+                   for row in template)
+    order = np.array([c for row in template for c in row if isinstance(c, int)], dtype=int)
+    # the repr of each float, row by row, then each row's step number
+    cells = np.array([*map(repr, block.ravel().tolist()), *map(str, range(k0, k0 + n))],
+                     dtype=object)
+    out = np.empty((n, 2 * len(order) + 1), dtype=object)  # text, cell, text, ..., text
+    out[:, ::2] = text.split("%s")
+    out[:, 1::2] = cells[np.where(order == STEP, n * w + j, j * w + order)]
+    return "".join(out.ravel().tolist())
 
 
 def write_matrix(M, path):
     """Write a matrix (a vector as one row) as CSV, one repr per entry."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w", newline="") as fh:
-        write_rows(fh, cells(np.atleast_2d(np.asarray(M, dtype=float))))
+        fh.write(render_rows([range(M.shape[1])], M))
 
 
 def write_kv(lines, path):

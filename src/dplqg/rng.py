@@ -111,7 +111,7 @@ def psd_factor(M):
     semidefinite or slightly indefinite input, falls back to an
     eigendecomposition with eigenvalues below zero clipped to zero; an
     eigenvalue more negative than -PSD_TOL * max(1, ||M||) is a real error
-    and raises ValueError.
+    and raises ValueError, as does an M that is not square and finite.
     """
     M = check_square(M, "covariance")
     check_symmetric(M, "covariance")

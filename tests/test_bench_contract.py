@@ -111,7 +111,8 @@ def test_bench_calls_bind_to_package_signatures():
 def _returned_objects():
     """A real object of each kind whose attributes bench/measure.py reads,
     keyed by the local name it reads them through: the shipped case study,
-    its network, synthesis, a 2-step run, an agent and its privacy audit."""
+    its network, synthesis, a 2-step run, an agent and its privacy audit,
+    and, under the names of the lists they sit in, an agent and an audit."""
     cfg = replace(load(ROOT / "configs" / "case_study_2agent.json"), horizon=2)
     model, agents = build_network(cfg)
     syn = synthesize(model)
@@ -120,7 +121,25 @@ def _returned_objects():
                                  model.sigmas[0], ag.privacy.epsilon, ag.privacy.delta)
     trace = run_simulation(model, agents, cfg.horizon, cfg.seed, synthesis=syn)
     return {"cfg": cfg, "model": model, "syn": syn, "trace": trace, "ag": ag,
-            "audit": audit}
+            "audit": audit, "agents": ag, "audits": audit}
+
+
+def _attribute_reads(tree, names):
+    """(name, attr) of each `name.attr` the source reads for a name in
+    names. A comprehension variable stands for its iterable's name, so
+    `a.n for a in agents` reads agents.n."""
+    read = set()
+    for node in ast.walk(tree):
+        alias = {}
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            alias = {gen.target.id: gen.iter.id for gen in node.generators
+                     if isinstance(gen.target, ast.Name) and isinstance(gen.iter, ast.Name)}
+        for sub in ast.walk(node) if alias else [node]:
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                name = alias.get(sub.value.id, sub.value.id)
+                if name in names:
+                    read.add((name, sub.attr))
+    return read
 
 
 def test_bench_attribute_reads_resolve():
@@ -128,9 +147,7 @@ def test_bench_attribute_reads_resolve():
     # not only when the benchmark runs.
     tree = ast.parse(MEASURE.read_text(), filename=str(MEASURE))
     objects = _returned_objects()
-    read = {(node.value.id, node.attr) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in objects}
+    read = _attribute_reads(tree, objects)
     missing = [f"{name}.{attr}" for name, attr in sorted(read)
                if not hasattr(objects[name], attr)]
     assert not missing, f"bench/measure.py reads attributes the package lacks: {missing}"
@@ -138,4 +155,5 @@ def test_bench_attribute_reads_resolve():
     # benchmark's wire-log and synthesis reads are seen
     assert {name for name, _ in read} == set(objects)
     assert {("trace", "x_hat0"), ("trace", "messages"), ("syn", "filter"),
-            ("model", "sigmas"), ("audit", "min_slack")} <= read
+            ("model", "sigmas"), ("audit", "min_slack"), ("agents", "n"), ("agents", "m"),
+            ("agents", "A"), ("audits", "min_slack")} <= read

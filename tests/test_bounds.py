@@ -308,6 +308,11 @@ def test_homogeneous_estimate_validation():
         homogeneous_entropy_estimate(ONE, math.inf, 1.0)
     with pytest.raises(ValueError, match="sigma must be positive"):
         homogeneous_entropy_estimate(ONE, 1.0, math.inf)
+    with pytest.raises(ValueError, match="A must be square, got shape"):
+        homogeneous_entropy_estimate(np.ones((2, 3)), 1.0, 1.0)
+    for bad in ([[math.inf]], [[math.nan]]):
+        with pytest.raises(ValueError, match="A must be finite"):
+            homogeneous_entropy_estimate(bad, 1.0, 1.0)
 
 
 def test_homogeneous_report_takes_one_svd(monkeypatch):
@@ -357,6 +362,11 @@ def test_logdet_rejects_indefinite():
         logdet(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         logdet(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="matrix must be square, got shape"):
+        logdet(np.ones((2, 3)))
+    for bad in ([[np.inf]], [[np.nan]], np.diag([1.0, np.nan])):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            logdet(bad)
 
 
 def test_bound_inputs_validated():

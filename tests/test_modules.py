@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports another's private
-(underscore) name, so each decision sits behind its module's public calls."""
+(underscore) name, so each decision sits behind its module's public calls,
+and only dplqg.output spells the CSV line ending."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,18 @@ def test_private_imports_are_found(tmp_path):
     assert _private_imports(source) == [(1, ".network", "_lockstep"),
                                         (2, "dplqg.riccati", "_as_pair"),
                                         (3, ".", "_private")]
+
+
+def _crlf_modules():
+    """Names of the package's modules whose code holds a string constant
+    with a CRLF line ending in it."""
+    return sorted(path.name for path in PACKAGE.glob("*.py")
+                  if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                         and "\r\n" in node.value
+                         for node in ast.walk(ast.parse(path.read_text(), str(path)))))
+
+
+def test_only_output_writes_csv_line_endings():
+    # The CSV byte rules sit in dplqg.output alone: every other module
+    # writes and checks CSV rows through its row template.
+    assert _crlf_modules() == ["output.py"]

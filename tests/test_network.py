@@ -460,6 +460,8 @@ MALFORMED_LOGS = {
     "extra cell": lambda lines: _set_cell(lines, 0, 5, lines[1].split(",")[5] + ","),
     "swapped steps": lambda lines: [lines[0]] + lines[5:9] + lines[1:5] + lines[9:],
     "payload header on an empty log": lambda lines: lines[:1],
+    # every line but the last ended by LF, as a file re-saved with LF endings
+    "LF line endings": lambda lines: ["\n".join(lines)],
 }
 # payload cells that float() reads but the writer never writes; each is put
 # in payload1 of message row 2, agent1's measurement at step 0

@@ -362,6 +362,20 @@ def test_dimension_mismatches_raise_value_error():
         solve_dare_control(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         solve_dare_filter(np.eye(2), np.zeros((1, 3)), np.eye(2), np.eye(1))
+    # a NaN or inf in A, B or C is named before a rank test or a solve can
+    # misread it
+    nan, inf, one = [[np.nan]], [[np.inf]], [[1.0]]
+    for call, name in ((lambda: is_controllable(nan, one), "A"),
+                       (lambda: is_controllable(one, inf), "B"),
+                       (lambda: is_observable(nan, one), "A"),
+                       (lambda: is_observable(one, inf), "C"),
+                       (lambda: solve_dare_control(nan, one, one, one), "A"),
+                       (lambda: solve_dare_control(one, inf, one, one), "B"),
+                       (lambda: solve_dare_filter(one, nan, one, one), "C"),
+                       (lambda: dare_residual_control(one, nan, one, one, one), "A"),
+                       (lambda: dare_residual_filter(one, one, inf, one, one), "C")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got NaN or inf$"):
+            call()
 
 
 def test_iteration_cap_reports_progress(monkeypatch):

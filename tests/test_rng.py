@@ -192,3 +192,6 @@ def test_psd_factor_rejects_indefinite_and_nonsquare():
         psd_factor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         psd_factor(np.array([[1.0, 0.5], [0.1, 1.0]]))  # asymmetric
+    for bad in ([[np.inf]], [[np.nan]]):
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            psd_factor(bad)
