@@ -40,12 +40,11 @@ def _bound_terms(A, W, C, V):
     min_i C_ii^2/V_ii = lambda_min(C^T V^{-1} C); floor; margin, the
     condition margin; holds.
     """
-    A, W, C, V = (np.asarray(M, dtype=float) for M in (A, W, C, V))
-    for name, M in (("A", A), ("W", W), ("C", C), ("V", V)):
-        check_finite(M, name)
     A = check_square(A, "A")
     n = A.shape[0]
+    W, C, V = (np.asarray(M, dtype=float) for M in (W, C, V))
     for name, M in (("W", W), ("C", C), ("V", V)):
+        check_finite(M, name)
         if M.shape != (n, n):
             raise ValueError(f"{name} must be {n} x {n}, got {M.shape}")
     if np.count_nonzero(C - np.diag(np.diag(C))):

@@ -37,7 +37,7 @@ from .errors import AssumptionError, ConfigError, ConvergenceError, check_count
 from .lqg import synthesize
 from .network import (assemble_network, average_costs, run_simulation, write_messages_csv,
                       write_trace_csv)
-from .output import fmt, render_rows, write_kv, write_matrix
+from .output import fmt, write_kv, write_matrix, write_rows
 from .privacy import calibrate_sigma
 from .riccati import (dare_residual_control, dare_residual_filter, solve_dare_control,
                       solve_dare_filter)
@@ -160,8 +160,9 @@ def cmd_sweep_epsilon(cfg, grid, n_seeds):
     """Run sweep_epsilon and write sweep.csv, one column per key of its rows."""
     rows = sweep_epsilon(cfg, grid, n_seeds)
     out_dir = _out_dir(cfg)
-    (out_dir / "sweep.csv").write_text(render_rows([list(rows[0])]) + render_rows(
-        [range(len(rows[0]))], [list(row.values()) for row in rows]), newline="")
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+        write_rows(fh, [list(rows[0])])
+        write_rows(fh, [range(len(rows[0]))], [list(row.values()) for row in rows])
     print(f"wrote sweep results to {out_dir}")
     return 0
 

@@ -70,7 +70,7 @@ def check_pair(A, B, name="B"):
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ValueError(f"{name} must have {A.shape[0]} rows, got shape {B.shape}")
-    check_finite(B, name)
+    check_finite(B, name.removesuffix("^T"))  # a transpose is finite when its matrix is
     return A, B
 
 

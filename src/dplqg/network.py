@@ -13,14 +13,14 @@ The wire log is the trace's y_bar and u arrays, which trace.messages holds
 read-only as a WireLog: row k holds the 2 N messages of step k. It is
 published as messages.csv, one row per message in protocol order, through
 a row template that alone defines the format; read_messages_csv parses the
-bytes back into the same arrays bit for bit, and accepts a file only if its
-lines are the template's lines for what it parsed. The eavesdropper knows
-exactly that log: true states, process noise, and the cost matrices Q and
-R never appear in it. replay_estimates shows what the log leaks: the
-cloud's entire estimate sequence is reconstructible from public model data
-plus the log, since the replay runs the cloud's own update
-(dplqg.lqg.filter_step). Simulations are bit-reproducible for a given
-master seed (see dplqg.rng for the stream discipline).
+bytes back into the same arrays bit for bit, and accepts a file only if it
+is the template's text for what it parsed, line endings included. The
+eavesdropper knows exactly that log: true states, process noise, and the
+cost matrices Q and R never appear in it. replay_estimates shows what the
+log leaks: the cloud's entire estimate sequence is reconstructible from
+public model data plus the log, since the replay runs the cloud's own
+update (dplqg.lqg.filter_step). Simulations are bit-reproducible for a
+given master seed (see dplqg.rng for the stream discipline).
 
 Runs advance in lockstep batches: S runs that share the agents, the seed
 and the control gain L, and differ only in their noise scales sigma_i and
@@ -47,6 +47,7 @@ grid. The batch keeps every run's bits, for three reasons:
   chunk in step order.
 """
 
+import io
 from dataclasses import dataclass, field
 from itertools import chain, zip_longest
 from typing import NamedTuple
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import check_count, check_finite, check_pair, check_positive, check_spd
 from .lqg import filter_step, incremental_cost
-from .output import STEP, render_rows
+from .output import STEP, write_rows
 from .privacy import PrivacySpec, calibrate_sigma
 from .riccati import check_preconditions
 from .rng import INIT_STATE, PRIVACY_NOISE, PROCESS_NOISE, derive_stream, psd_factor
@@ -102,12 +103,12 @@ class AgentModel:
     x0_cov: np.ndarray = None
 
     def __post_init__(self):
-        A, B = check_pair(self.A, self.B)
-        n = A.shape[0]
+        for name, value in zip("AB", check_pair(self.A, self.B)):
+            object.__setattr__(self, name, value)
+        n = self.n
         if n == 0:
             raise ValueError("A must have at least one state, got shape (0, 0)")
-        shapes = {"A": A.shape, "B": B.shape, "C": (n, n), "W": (n, n),
-                  "x0_mean": (n,), "x0_true": (n,), "x0_cov": (n, n)}
+        shapes = {"C": (n, n), "W": (n, n), "x0_mean": (n,), "x0_true": (n,), "x0_cov": (n, n)}
         for name, shape in shapes.items():
             value = getattr(self, name)
             if value is None and name in ("x0_true", "x0_cov"):
@@ -531,13 +532,12 @@ def _cells(cols, width):
     return [*range(cols.start, cols.stop), *[""] * (width - (cols.stop - cols.start))]
 
 
-def _csv_text(header, step, arrays):
-    """A CSV file's text in blocks: the header, then the row template step
-    per row of the arrays side by side, SIM_CHUNK_STEPS rows a block."""
-    yield render_rows([header])
+def _write_csv(fh, header, step, arrays):
+    """Write the header, then the template step per row of the arrays side by side."""
+    write_rows(fh, [header])
     for k0 in range(0, len(arrays[0]), SIM_CHUNK_STEPS):
         steps = slice(k0, k0 + SIM_CHUNK_STEPS)
-        yield render_rows(step, np.column_stack([a[steps] for a in arrays]), k0)
+        write_rows(fh, step, np.column_stack([a[steps] for a in arrays]), k0)
 
 
 def write_trace_csv(trace, path):
@@ -549,30 +549,29 @@ def write_trace_csv(trace, path):
     step's network-level stage_cost and avg_cost, on each agent row.
     """
     p, q = max(trace.state_dims), max(trace.input_dims)
-    header = ["k", "agent_id"]
-    for name, width in (("x", p), ("xhat", p), ("u", q), ("ybar", p)):
-        header += [f"{name}{j}" for j in range(width)]
-    header += ["stage_cost", "avg_cost"]
+    widths = {"x": p, "xhat": p, "u": q, "ybar": p}
+    header = ["k", "agent_id", *(f"{name}{j}" for name, w in widths.items() for j in range(w)),
+              "stage_cost", "avg_cost"]
     # agent i's x, xhat, u and ybar cells are slices i, N+i, 2N+i and 3N+i
     # of the step's [x | x_hat | u | y_bar | stage_cost avg_cost] row
     N = len(trace.state_dims)
     cols = _slices(trace.state_dims * 2 + trace.input_dims + trace.state_dims)
-    step = [[STEP, str(i), *chain.from_iterable(map(_cells, cols[i::N], (p, p, q, p))),
+    step = [[STEP, str(i), *chain.from_iterable(map(_cells, cols[i::N], widths.values())),
              cols[-1].stop, cols[-1].stop + 1] for i in range(N)]
     with open(path, "w", newline="") as fh:
-        fh.writelines(_csv_text(header, step, (trace.x, trace.x_hat, trace.u, trace.y_bar,
-                                               trace.stage_cost, trace.avg_cost)))
+        _write_csv(fh, header, step, (trace.x, trace.x_hat, trace.u, trace.y_bar,
+                                      trace.stage_cost, trace.avg_cost))
 
 
-def _messages_text(log):
-    """messages.csv's text for a WireLog, in blocks; this alone defines it."""
+def _write_messages(fh, log):
+    """Write messages.csv's text for a WireLog to fh; this alone defines it."""
     widths = log.state_dims + log.input_dims
     width = max(widths) if len(log) else 0
     # message r's payload is slice r of the step's [y_bar | u] row
     step = [[*slot, STEP, *_cells(cols, width)]
             for slot, cols in zip(_step_slots(len(log.state_dims)), _slices(widths))]
     header = ["kind", "sender", "receiver", "k"] + [f"payload{j}" for j in range(width)]
-    return _csv_text(header, step, (log.y_bar, log.u))
+    _write_csv(fh, header, step, (log.y_bar, log.u))
 
 
 def write_messages_csv(log, path):
@@ -582,7 +581,7 @@ def write_messages_csv(log, path):
     for an empty log); narrower payloads leave trailing cells empty.
     """
     with open(path, "w", newline="") as fh:
-        fh.writelines(_messages_text(log))
+        _write_messages(fh, log)
 
 
 def read_messages_csv(path, model):
@@ -590,10 +589,10 @@ def read_messages_csv(path, model):
 
     Row j below the header is message j - 1 of protocol order; float()
     reads its payload cells back to their doubles, bit for bit, and the
-    file's lines, line endings included, must be the writer's lines for
-    that log. A payload cell float() refuses, and the first line that
-    differs ("+0.5" for "0.5", another slot, step or line ending, a missing
-    or extra message or cell), raise ValueError naming the column and the
+    file, line endings included, must be the writer's text for that log.
+    A payload cell float() refuses, and the first line that differs
+    ("+0.5" for "0.5", another slot, step or line ending, a missing or
+    extra message or cell), raise ValueError naming the column and the
     message row (1 is the row below the header), or the file line.
     """
     with open(path, newline="") as fh:
@@ -612,16 +611,18 @@ def read_messages_csv(path, model):
                 raise ValueError(f"message row {j} ({slots[r][0]} at step {k}): payload{c} "
                                  f"cell {cell!r} is not the repr of a double") from None
     log = WireLog(*np.hsplit(values, [model.n]), model.state_dims, model.input_dims)
-    expected = "".join(_messages_text(log)).splitlines(True)
-    for j, (got, want) in enumerate(zip_longest(text.splitlines(True), expected)):
-        if got != want:
-            # split at commas, a line's ending stays in its last cell
-            header = expected[0].splitlines()[0].split(",")
-            got, want = (line.split(",") if line else [] for line in (got, want))
-            c = next(c for c, (a, b) in enumerate(zip_longest(got, want)) if a != b)
-            where = (f"message row {j} ({want[0]} at step {want[3]})" if j and want
-                     else f"messages.csv line {j + 1}")
-            column = header[c] if c < len(header) else f"column {c + 1}"
-            got, want = (repr(row[c]) if c < len(row) else "(none)" for row in (got, want))
-            raise ValueError(f"{where}: {column} cell {got} is not the writer's {want}")
+    expected = io.StringIO(newline="")
+    _write_messages(expected, log)
+    if text != expected.getvalue():
+        # only now split into lines, endings kept, and the first differing one at commas
+        lines = zip_longest(text.splitlines(True), expected.getvalue().splitlines(True))
+        j, (got, want) = next((j, pair) for j, pair in enumerate(lines) if pair[0] != pair[1])
+        header = expected.getvalue().splitlines()[0].split(",")
+        got, want = (line.split(",") if line else [] for line in (got, want))
+        c = next(c for c, (a, b) in enumerate(zip_longest(got, want)) if a != b)
+        where = (f"message row {j} ({want[0]} at step {want[3]})" if j and want
+                 else f"messages.csv line {j + 1}")
+        column = header[c] if c < len(header) else f"column {c + 1}"
+        got, want = (repr(row[c]) if c < len(row) else "(none)" for row in (got, want))
+        raise ValueError(f"{where}: {column} cell {got} is not the writer's {want}")
     return log

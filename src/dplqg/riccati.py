@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AssumptionError, ConvergenceError, check_finite, check_pair, check_spd,
-                     check_square)
+from .errors import AssumptionError, ConvergenceError, check_pair, check_spd, check_square
 
 MAX_ITERATIONS = 100_000
 CONVERGENCE_RTOL = 1e-12
@@ -70,9 +69,7 @@ class FilterSynthesis:
 
 def _dual_pair(A, C):
     """(A^T, C^T) for a finite square A and a finite q x n output matrix C."""
-    A, C = check_square(A, "A"), np.asarray(C, dtype=float)
-    check_finite(C, "C")
-    return check_pair(A.T, C.T, "C^T")
+    return check_pair(np.asarray(A, dtype=float).T, np.asarray(C, dtype=float).T, "C^T")
 
 
 def _staircase_rank(blocks):
