@@ -80,7 +80,8 @@ def posterior_variance_diag(W, C, V):
     Returns the diagonal as a vector. Entries are positive, increase with
     V_ii, and approach W_ii as the privacy noise grows.
     """
-    return _bound_terms(np.eye(np.shape(W)[0]), W, C, V).gamma
+    W = check_square(W, "W")
+    return _bound_terms(np.eye(len(W)), W, C, V).gamma
 
 
 def variance_floor(A, W, C, V):

@@ -29,7 +29,8 @@ couplings are then almost surely nonzero, which is the point: the cloud's
 cost couples agents even though their dynamics are decoupled.
 
 Parsing is strict: unknown keys, wrong shapes, invalid privacy
-parameters, or a horizon or seed that is not a JSON integer >= 0 raise
+parameters, a number that is not a JSON number (a bool or a string such as
+"0.1"), or a horizon or seed that is not a JSON integer >= 0 raise
 ConfigError. The command line's --seed, --steps and --out replace seed,
 horizon and out, under the same checks, before any verb runs.
 """
@@ -39,15 +40,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_real
 from .network import AgentModel, assemble_network
 from .privacy import PrivacySpec
 from .rng import COST_MATRIX, GaussianStream
 
-_AGENT_KEYS = {
-    "A", "B", "C", "W", "epsilon", "delta", "adjacency_bound",
-    "x0_mean", "x0_true", "x0_cov",
-}
+_AGENT_ARRAYS = {"A": "matrix", "B": "matrix", "C": "matrix", "W": "matrix",
+                 "x0_mean": "vector", "x0_true": "vector", "x0_cov": "matrix"}
+_AGENT_KEYS = {*_AGENT_ARRAYS, "epsilon", "delta", "adjacency_bound"}
 _TOP_KEYS = {"agents", "cost", "horizon", "seed", "out"}
 _COST_KEYS = {"Q", "R"}
 
@@ -94,12 +94,18 @@ class ExperimentConfig:
             raise ConfigError("at least one agent is required")
 
 
-def _matrix(value, where):
+def _array(value, where, kind="matrix"):
+    """value as a float array, a list of rows for a matrix; ConfigError
+    naming `where` unless its entries are JSON numbers (errors.check_real:
+    not a bool or a string such as "1") in lists that are not ragged."""
     try:
-        M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: not a numeric matrix") from None
-    if M.ndim != 2:
+        entries = np.asarray(value, dtype=object)
+        for entry in entries.flat:
+            check_real(entry, where)
+    except ValueError:
+        raise ConfigError(f"{where}: not a numeric {kind}") from None
+    M = entries.astype(float)
+    if kind == "matrix" and M.ndim != 2:
         raise ConfigError(f"{where}: expected a list of rows, got shape {M.shape}")
     return M
 
@@ -114,26 +120,18 @@ def _agent_from_dict(entry, index):
     for key in ("A", "B", "W", "epsilon", "delta"):
         if key not in entry:
             raise ConfigError(f"{where}: missing required key {key!r}")
-    A = _matrix(entry["A"], f"{where}.A")
-    n = A.shape[0]
-    C = _matrix(entry["C"], f"{where}.C") if "C" in entry else np.eye(n)
+    arrays = {key: _array(entry[key], f"{where}.{key}", kind)
+              for key, kind in _AGENT_ARRAYS.items() if key in entry}
+    n = arrays["A"].shape[0]
+    arrays.setdefault("C", np.eye(n))
+    arrays.setdefault("x0_mean", np.zeros(n))
     try:
         privacy = PrivacySpec(
             epsilon=entry["epsilon"],
             delta=entry["delta"],
             adjacency_bound=entry.get("adjacency_bound", 1.0),
         )
-        return AgentModel(
-            A=A,
-            B=_matrix(entry["B"], f"{where}.B"),
-            C=C,
-            W=_matrix(entry["W"], f"{where}.W"),
-            privacy=privacy,
-            x0_mean=entry.get("x0_mean", np.zeros(n)),
-            x0_true=entry.get("x0_true"),
-            x0_cov=None if "x0_cov" not in entry
-            else _matrix(entry["x0_cov"], f"{where}.x0_cov"),
-        )
+        return AgentModel(privacy=privacy, **arrays)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -151,7 +149,7 @@ def _cost_entry(value, where):
             return RandomPdRecipe(seed=recipe.get("seed"))
         except ValueError as exc:
             raise ConfigError(f"{where}.random_pd.{exc}") from None
-    return _matrix(value, where)
+    return _array(value, where)
 
 
 def from_dict(raw):

@@ -3,9 +3,10 @@
 The CLI maps each exception type onto a dedicated exit code, so synthesis
 and simulation code should raise the most specific type that applies rather
 than a bare ValueError. The check_* functions write the shared input rules
-once: finite arrays, finite square matrices, a square A with a finite B of
-as many rows, symmetry within 1e-10 * max(1, max |M_ij|), positive definite
-weights, finite positive (or >= 0) scalars, and integers >= 0 such as seeds.
+once: finite arrays, finite non-empty square matrices, a square A with a
+finite B of as many rows, symmetry within 1e-10 * max(1, max |M_ij|),
+positive definite weights, real numbers (not bools or strings), finite
+positive (or >= 0) scalars, and integers >= 0 such as seeds.
 """
 
 import numpy as np
@@ -56,10 +57,12 @@ def check_finite(M, name):
 
 
 def check_square(M, name):
-    """M as a float array; ValueError naming it unless it is a finite square matrix."""
+    """M as a float array; ValueError naming it unless a finite non-empty square matrix."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
+    if not M.size:
+        raise ValueError(f"{name} must have at least one row, got shape {M.shape}")
     check_finite(M, name)
     return M
 
@@ -95,9 +98,17 @@ def check_spd(M, name):
     return M
 
 
+def check_real(value, name):
+    """float(value); ValueError naming it unless value is a real number: an
+    int or a float, numpy's included, but not a bool or a string such as "0.1"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def check_positive(value, name, allow_zero=False):
-    """float(value); ValueError naming it unless finite and > 0 (>= 0 if allow_zero)."""
-    value = float(value)
+    """check_real(value); ValueError naming it unless finite and > 0 (>= 0 if allow_zero)."""
+    value = check_real(value, name)
     in_range = value >= 0.0 if allow_zero else value > 0.0
     if not (np.isfinite(value) and in_range):
         bound = ">= 0" if allow_zero else "positive"

@@ -9,6 +9,10 @@ Protocol per step k (all agents, then the cloud, then all agents):
 3. the cloud sends u_i(k) to agent i, and only to agent i;
 4. every agent steps x_i(k+1) = A_i x_i(k) + B_i u_i(k) + w_i(k).
 
+The engine steps the cloud's model: A_i, B_i, C_i and w_i's covariance W_i
+are the NetworkModel's diagonal blocks, and the agents give only their
+initial states (x0_mean, x0_true, x0_cov), laid out as the model's blocks.
+
 The wire log is the trace's y_bar and u arrays, which trace.messages holds
 read-only as a WireLog: row k holds the 2 N messages of step k. It is
 published as messages.csv, one row per message in protocol order, through
@@ -22,11 +26,12 @@ public model data plus the log, since the replay runs the cloud's own
 update (dplqg.lqg.filter_step). Simulations are bit-reproducible for a
 given master seed (see dplqg.rng for the stream discipline).
 
-Runs advance in lockstep batches: S runs that share the agents, the seed
-and the control gain L, and differ only in their noise scales sigma_i and
-Kalman gain. run_simulation is a batch of one, and average_costs, which the
-epsilon sweep (dplqg.cli.sweep_epsilon) calls, one batch per seed over its
-grid. The batch keeps every run's bits, for three reasons:
+Runs advance in lockstep batches: S runs that share the model, the agents,
+the seed and the control gain L, and differ only in their noise scales
+sigma_i and Kalman gain. run_simulation is a batch of one, and
+average_costs, which the epsilon sweep (dplqg.cli.sweep_epsilon) calls, one
+batch per seed over its grid. The batch keeps every run's bits, for three
+reasons:
 
 * a per-run matrix-vector kernel: the state is held as (S, n, 1) columns and
   every product is an np.matmul M @ X, with M shared (n, n), per run
@@ -49,7 +54,7 @@ grid. The batch keeps every run's bits, for three reasons:
 
 import io
 from dataclasses import dataclass, field
-from itertools import chain, zip_longest
+from itertools import chain, groupby, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -106,16 +111,12 @@ class AgentModel:
         for name, value in zip("AB", check_pair(self.A, self.B)):
             object.__setattr__(self, name, value)
         n = self.n
-        if n == 0:
-            raise ValueError("A must have at least one state, got shape (0, 0)")
         shapes = {"C": (n, n), "W": (n, n), "x0_mean": (n,), "x0_true": (n,), "x0_cov": (n, n)}
         for name, shape in shapes.items():
             value = getattr(self, name)
             if value is None and name in ("x0_true", "x0_cov"):
                 continue
             value = np.asarray(value, dtype=float)
-            if len(shape) == 1:
-                value = value.reshape(-1)
             if value.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
             check_finite(value, name)
@@ -290,49 +291,24 @@ class _Chunk(NamedTuple):
     avg_cost: np.ndarray
 
 
-def _agent_runs(agents, model):
-    """Maximal runs of consecutive agents of equal (n_i, m_i).
+def _agent_runs(model):
+    """Maximal runs of consecutive agents of equal (n_i, m_i) in the model.
 
     Each run is (state slice, input slice, G, n_i, m_i, A, B, C): where its
-    G agents' entries sit in the network vectors, and their A_i, B_i and C_i
-    stacked as (G, ...) arrays. A run is contiguous in x and u, so each chunk
-    reaches it through a basic view.
+    G agents' entries sit in the network vectors, and their diagonal blocks
+    of model.A, model.B and model.C stacked as (G, ...) arrays. A run is
+    contiguous in x and u, so each chunk reaches it through a basic view.
     """
-    runs, S, I = [], model.state_slices, model.input_slices
-    for i, ag in enumerate(agents):
-        if runs and runs[-1][-1] == (ag.n, ag.m):
-            runs[-1][0].append(i)
-        else:
-            runs.append(([i], (ag.n, ag.m)))
-    return [(slice(S[r[0]].start, S[r[-1]].stop), slice(I[r[0]].start, I[r[-1]].stop),
-             len(r), n, m,
-             *(np.stack([getattr(agents[i], name) for i in r]) for name in "ABC"))
-            for r, (n, m) in runs]
-
-
-def _check_agents(model, agents, horizon, seeds):
-    """The agents as a list, once they, the horizon and the seeds are
-    checked: as many agents as the model's, each with the model's blocks of
-    A, B, C and W (the plant runs the agents', the cloud filters with the
-    model's), and a horizon and seeds that are integers >= 0
-    (errors.check_count). A mismatch raises ValueError naming the agent.
-    Privacy and x0 are not compared, so re-noised models pass."""
-    agents = list(agents)
-    if len(agents) != model.n_agents:
-        raise ValueError(
-            f"model was assembled for {model.n_agents} agents, got {len(agents)}"
-        )
     S, I = model.state_slices, model.input_slices
-    for i, ag in enumerate(agents):
-        for name, cols in (("A", S[i]), ("B", I[i]), ("C", S[i]), ("W", S[i])):
-            block = getattr(model, name)[S[i], cols]
-            if not np.array_equal(getattr(ag, name), block):
-                raise ValueError(f"agent {i} has another {name} than the model's "
-                                 f"{block.shape} block, which the cloud filters with")
-    check_count(horizon, "horizon")
-    for seed in seeds:
-        check_count(seed, "seed")
-    return agents
+    dims = list(zip(model.state_dims, model.input_dims))
+    runs = []
+    for (n, m), group in groupby(range(len(dims)), key=dims.__getitem__):
+        r = list(group)
+        blocks = [np.stack([M[S[i], cols[i]] for i in r])
+                  for M, cols in ((model.A, S), (model.B, I), (model.C, S))]
+        runs.append((slice(S[r[0]].start, S[r[-1]].stop),
+                     slice(I[r[0]].start, I[r[-1]].stop), len(r), n, m, *blocks))
+    return runs
 
 
 def _floats(value, name, rule):
@@ -345,12 +321,23 @@ def _floats(value, name, rule):
                          "or not numbers") from None
 
 
-def _check_gains(model, L, sigmas, gains):
-    """L, sigmas and gains as float arrays, once they are checked: L of
-    shape (m, n), gains of shape (n, n), and per gain one row of the model's
-    N noise scales, each finite and >= 0 as calibrate_sigma requires. A
-    mismatch raises ValueError naming the argument."""
+def _check_batch(model, agents, horizon, seeds, L, sigmas, gains):
+    """The agents as a list and L, sigmas and gains as float arrays, once
+    checked: the model's count of agents, each laid out as its (n_i, m_i)
+    blocks; a horizon and seeds that are integers >= 0; L of shape (m, n),
+    gains of shape (n, n), and per gain one row of the model's N noise
+    scales, each finite and >= 0. ValueError names the agent or argument."""
     n, m, N = model.n, model.m, model.n_agents
+    agents = list(agents)
+    if len(agents) != N:
+        raise ValueError(f"model was assembled for {N} agents, got {len(agents)}")
+    for i, dims in enumerate(zip(model.state_dims, model.input_dims)):
+        if (agents[i].n, agents[i].m) != dims:
+            raise ValueError(f"agent {i} has (n_i, m_i) = {(agents[i].n, agents[i].m)}, "
+                             f"not the model's {dims}")
+    check_count(horizon, "horizon")
+    for seed in seeds:
+        check_count(seed, "seed")
     sigmas = _floats(sigmas, "sigmas", f"one row of {N} noise scales per gain")
     L = _floats(L, "L", f"a matrix of shape ({m}, {n})")
     gains = _floats(gains, "gains", f"Kalman gains of shape ({n}, {n})")
@@ -364,29 +351,29 @@ def _check_gains(model, L, sigmas, gains):
                          f"got shape {sigmas.shape} for {len(gains)} gains")
     for sigma in sigmas.flat:
         check_positive(sigma, "sigmas", allow_zero=True)
-    return L, sigmas, gains
+    return agents, L, sigmas, gains
 
 
 def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     """Advance S closed-loop runs in lockstep; yield their rows as _Chunks.
 
-    The runs share model's agents (a list that _check_agents has passed),
-    dynamics and cost, the master seed and the control gain L; L, sigmas
-    and gains are the float arrays that _check_gains returns. Run j
-    publishes with noise scales sigmas[j] (one per agent) and filters with
-    Kalman gain gains[j]. Run j's rows are bit-equal to those of
-    run_simulation on its own model and synthesis; the module docstring
-    says why. Chunks come SIM_CHUNK_STEPS steps at a time, and avg_cost is
-    the running mean of stage costs from step 0.
+    The runs share the model, whose blocks they step, the agents' initial
+    states, the master seed and the control gain L; agents, L, sigmas and
+    gains are what _check_batch returns. Run j publishes with noise scales
+    sigmas[j] (one per agent) and filters with Kalman gain gains[j]. Run
+    j's rows are bit-equal to those of run_simulation on its own model and
+    synthesis; the module docstring says why. Chunks come SIM_CHUNK_STEPS
+    steps at a time, and avg_cost is the running mean of stage costs from
+    step 0.
     """
-    n_runs, n, m, N = len(gains), model.n, model.m, len(agents)
+    n_runs, n, m, N = len(gains), model.n, model.m, model.n_agents
     A, B, C = model.A, model.B, model.C
     S = model.state_slices
     scale = np.repeat(sigmas, model.state_dims, axis=1)[:, :, None]
     privacy = [derive_stream(seed, i, PRIVACY_NOISE) for i in range(N)]
     process = [derive_stream(seed, i, PROCESS_NOISE) for i in range(N)]
-    factors = [psd_factor(ag.W) for ag in agents]
-    runs = _agent_runs(agents, model)
+    factors = [psd_factor(model.W[s, s]) for s in S]
+    runs = _agent_runs(model)
 
     x_hat0 = np.concatenate([ag.x0_mean for ag in agents])
     x = np.empty((n, 1))
@@ -403,9 +390,9 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     for k0 in range(0, horizon, SIM_CHUNK_STEPS):
         T = min(SIM_CHUNK_STEPS, horizon - k0)
         z, w = np.empty((T, 1, n, 1)), np.empty((T, n, 1))
-        for i, ag in enumerate(agents):
-            z[:, 0, S[i], 0] = privacy[i].standard_normal_rows(T, ag.n)
-            z_w = process[i].standard_normal_rows(T, ag.n)
+        for i, n_i in enumerate(model.state_dims):
+            z[:, 0, S[i], 0] = privacy[i].standard_normal_rows(T, n_i)
+            z_w = process[i].standard_normal_rows(T, n_i)
             w[:, S[i]] = np.matmul(factors[i], z_w[:, :, None])
         v = scale * z
         # row T of xs receives the state the next chunk starts from
@@ -447,17 +434,16 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
 def run_simulation(model, agents, horizon, seed, synthesis):
     """Run the closed loop for `horizon` steps under a master seed.
 
-    synthesis is the model's SynthesisResult (dplqg.lqg.synthesize), whose
-    gains L and Kalman gain the cloud applies. Returns a SimulationTrace.
-    Identical (model, agents, horizon, seed, synthesis) produce
-    bit-identical traces. The run is a lockstep batch of one (_lockstep),
-    whose chunks are copied into the trace's arrays. Agents that differ from the model's (_check_agents),
-    a horizon or seed that is not an integer >= 0, and a synthesis whose L
-    or Kalman gain is not shaped for the model raise ValueError.
+    The plant and the cloud step the model; agents give only their initial
+    states. synthesis is the model's SynthesisResult (dplqg.lqg.synthesize),
+    whose gains L and Kalman gain the cloud applies. Returns a
+    SimulationTrace; identical inputs produce bit-identical traces. The run
+    is a lockstep batch of one (_lockstep). Agents not laid out as the
+    model's (n_i, m_i) blocks, a horizon or seed that is not an integer
+    >= 0, and an L or Kalman gain not shaped for the model raise ValueError.
     """
-    agents = _check_agents(model, agents, horizon, [seed])
-    L, sigmas, gains = _check_gains(model, synthesis.L, [model.sigmas],
-                                    [synthesis.kalman_gain])
+    agents, L, sigmas, gains = _check_batch(model, agents, horizon, [seed], synthesis.L,
+                                            [model.sigmas], [synthesis.kalman_gain])
     n, m = model.n, model.m
     rows = {"x": np.empty((horizon, n)), "x_hat": np.empty((horizon, n)),
             "u": np.empty((horizon, m)), "y_bar": np.empty((horizon, n)),
@@ -477,12 +463,12 @@ def average_costs(model, agents, horizon, seeds, L, sigmas, gains):
     Entry [j, s] has the bits of run_simulation(...).avg_cost[-1] under
     seeds[s] for run j, which publishes with noise scales sigmas[j] and
     applies the gains L and gains[j]. Each seed is one lockstep batch, which
-    draws its noise once. Inputs are checked as run_simulation checks them,
-    and sigmas must give one row of N finite scales >= 0 per gain. A horizon
+    steps the model and draws its noise once; agents give only their
+    initial states. Inputs are checked as run_simulation checks them, and
+    sigmas must give one row of N finite scales >= 0 per gain. A horizon
     of 0 gives NaN, the mean of no stage costs.
     """
-    agents = _check_agents(model, agents, horizon, seeds)
-    L, sigmas, gains = _check_gains(model, L, sigmas, gains)
+    agents, L, sigmas, gains = _check_batch(model, agents, horizon, seeds, L, sigmas, gains)
     costs = np.full((len(gains), len(seeds)), np.nan)
     for s, seed in enumerate(seeds):
         for chunk in _lockstep(model, agents, horizon, seed, L, sigmas, gains):

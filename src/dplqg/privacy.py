@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_finite, check_positive
+from .errors import check_finite, check_positive, check_real
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -224,9 +224,9 @@ def q_inverse(p):
 
 
 def _privacy_params(epsilon, delta):
-    """(epsilon, delta) as floats; ValueError unless epsilon is finite and
-    positive and 0 < delta <= 1/2."""
-    epsilon, delta = check_positive(epsilon, "epsilon"), float(delta)
+    """(epsilon, delta) as floats; ValueError unless both are real numbers,
+    epsilon is finite and positive, and 0 < delta <= 1/2."""
+    epsilon, delta = check_positive(epsilon, "epsilon"), check_real(delta, "delta")
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
     return epsilon, delta

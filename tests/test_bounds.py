@@ -313,6 +313,8 @@ def test_homogeneous_estimate_validation():
     for bad in ([[math.inf]], [[math.nan]]):
         with pytest.raises(ValueError, match="A must be finite"):
             homogeneous_entropy_estimate(bad, 1.0, 1.0)
+    with pytest.raises(ValueError, match="A must have at least one row"):
+        homogeneous_entropy_estimate(np.zeros((0, 0)), 1.0, 1.0)
 
 
 def test_homogeneous_report_takes_one_svd(monkeypatch):
@@ -367,6 +369,8 @@ def test_logdet_rejects_indefinite():
     for bad in ([[np.inf]], [[np.nan]], np.diag([1.0, np.nan])):
         with pytest.raises(ValueError, match="matrix must be finite"):
             logdet(bad)
+    with pytest.raises(ValueError, match="matrix must have at least one row"):
+        logdet(np.zeros((0, 0)))
 
 
 def test_bound_inputs_validated():
@@ -398,3 +402,11 @@ def test_bound_inputs_validated():
         posterior_variance_diag(np.eye(2), np.diag([np.nan, 1.0]), np.eye(2))
     with pytest.raises(ValueError, match="A must be finite, got NaN or inf"):
         covariance_bound_condition(np.diag([np.nan, 0.5]), np.eye(2), np.eye(2), np.eye(2))
+    # an empty matrix is named, not left to numpy's zero-size errors
+    empty = np.zeros((0, 0))
+    for bound in (variance_floor, covariance_bound_condition, covariance_upper_bound,
+                  entropy_bound_report):
+        with pytest.raises(ValueError, match=r"^A must have at least one row, got shape \(0, 0\)$"):
+            bound(empty, empty, empty, empty)
+    with pytest.raises(ValueError, match=r"^W must have at least one row, got shape \(0, 0\)$"):
+        posterior_variance_diag(empty, empty, empty)

@@ -8,6 +8,7 @@ verb as `python -m dplqg.cli` and check the installed console script.
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -607,19 +608,50 @@ def test_cli_exit_code_invalid_config(tmp_path, capsys):
         assert main([verb, "--config", cfg_path, "--seed", "-1",
                      "--out", str(tmp_path / "x")]) == 2
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    # an only agent with no inputs leaves an empty R, which is named
+    raw = _config_dict(agents=[_agent_dict(B=[[], []])],
+                       cost={"Q": [[1.0, 0.0], [0.0, 1.0]], "R": {"random_pd": {}}})
+    no_input = _write_config(tmp_path, raw, "no_input.json")
+    assert main(["synthesize", "--config", no_input, "--out", str(tmp_path / "x")]) == 2
+    assert "R must have at least one row, got shape (0, 0)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["x0_mean", "A"])
+# per field: bad values and the error each names, a non-finite number, and a
+# JSON string or bool where a number belongs (never converted), or a vector
+# given as rows (never flattened)
+_BAD_NUMBERS = {
+    "x0_mean": [([float("inf"), 0.0], "x0_mean must be finite"),
+                (["1", "0"], "agents[0].x0_mean: not a numeric vector"),
+                ([[0.0], [0.0]], "x0_mean must have shape (2,), got (2, 1)")],
+    "A": [([[float("nan"), 0.1], [0.0, 1.0]], "A must be finite"),
+          ([["1", "0.1"], ["0", "1"]], "agents[0].A: not a numeric matrix"),
+          ([[True, 0.1], [0, 1]], "agents[0].A: not a numeric matrix"),
+          ([[True, False], [False, True]], "agents[0].A: not a numeric matrix")],
+    "epsilon": [(True, "epsilon must be a real number, got True"),
+                ("0.1", "epsilon must be a real number, got '0.1'")],
+    "delta": [("0.01", "delta must be a real number, got '0.01'")],
+    "adjacency_bound": [("1e0", "adjacency_bound must be a real number, got '1e0'")],
+    "Q": [([["1", "0"], ["0", "1"]], "cost.Q: not a numeric matrix")],
+}
+
+
+@pytest.mark.parametrize("field", ["x0_mean", "A", "epsilon", "delta", "adjacency_bound", "Q"])
 def test_config_rejects_non_finite_agent_numbers(tmp_path, capsys, field):
-    values = {"x0_mean": [float("inf"), 0.0], "A": [[float("nan"), 0.1], [0.0, 1.0]]}
-    path = _write_config(tmp_path, _config_dict(agents=[_agent_dict(
-        **{field: values[field]})]))
-    with pytest.raises(ConfigError, match=f"{field} must be finite"):
-        load(path)
-    out = tmp_path / "sim"
-    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
-    assert f"{field} must be finite" in capsys.readouterr().err
-    assert not (out / "trace.csv").exists()
+    for value, message in _BAD_NUMBERS[field]:
+        raw = (_config_dict(cost={"Q": value, "R": [[1.0]]}) if field == "Q"
+               else _config_dict(agents=[_agent_dict(**{field: value})]))
+        path = _write_config(tmp_path, raw)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load(path)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+    # JSON integers are numbers
+    ag = from_dict(_config_dict(agents=[_agent_dict(
+        A=[[1, 0], [0, 1]], epsilon=1, adjacency_bound=2)])).agents[0]
+    assert np.array_equal(ag.A, np.eye(2))
+    assert (ag.privacy.epsilon, ag.privacy.adjacency_bound) == (1.0, 2.0)
 
 
 @pytest.mark.parametrize("verb", ["synthesize", "simulate", "bound", "sweep-epsilon"])

@@ -101,11 +101,19 @@ def test_agent_model_validation():
             _double_integrator_agent(1.0, 0.1, x0_cov=np.array(x0_cov))
     singular = _double_integrator_agent(1.0, 0.1, x0_cov=np.ones((2, 2)))
     assert np.array_equal(singular.x0_cov, np.ones((2, 2)))
-    with pytest.raises(ValueError, match="A must have at least one state"):
+    with pytest.raises(ValueError, match=r"A must have at least one row, got shape \(0, 0\)"):
         AgentModel(
             A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((0, 0)),
             W=np.zeros((0, 0)), privacy=PrivacySpec(1.0, 0.1), x0_mean=np.zeros(0),
         )
+    # a vector field is 1-D: nested rows are named, not flattened
+    A4 = np.eye(4)
+    for name, value, shape in (("x0_mean", [[1.0, 2.0], [3.0, 4.0]], "(2, 2)"),
+                               ("x0_mean", [[0.0]] * 4, "(4, 1)"),
+                               ("x0_true", [[1.0, 2.0, 3.0, 4.0]], "(1, 4)")):
+        fields = {**dict(A=A4, B=A4[:, :1], C=A4, W=A4, x0_mean=np.zeros(4)), name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must have shape \(4,\), got {re.escape(shape)}$"):
+            AgentModel(privacy=PrivacySpec(1.0, 0.1), **fields)
 
 
 @pytest.mark.parametrize("field", ["A", "B", "C", "W", "x0_mean", "x0_true", "x0_cov"])
@@ -321,12 +329,6 @@ def test_horizon_zero_and_agent_mismatch():
         for other in (three_states, two_inputs):
             with pytest.raises(ValueError, match="agent 1 has"):
                 run([agents[0], other], 5, 1)
-        # so is an agent with other dynamics than the model's blocks: its
-        # plant would run them while the cloud filters with the model's
-        for name in "ABCW":
-            other = replace(agents[1], **{name: 2.0 * getattr(agents[1], name)})
-            with pytest.raises(ValueError, match=f"agent 1 has another {name} "):
-                run([agents[0], other], 5, 1)
     # gains and noise scales of other shapes, or scales that are not finite
     # and >= 0, are named, not broadcast
     scalars = assemble_network([_scalar_agent()] * 4, Q=np.eye(4), R=np.eye(4))
@@ -350,6 +352,25 @@ def test_horizon_zero_and_agent_mismatch():
             batch(agents, 5, 1, **bad)
     # a noise scale of 0 is valid: the run publishes its measurements as is
     assert np.isfinite(batch(agents, 5, 1, sigmas=[(0.0, 0.0)])).all()
+
+
+def test_engine_steps_the_model_not_the_agents_matrices():
+    # The plant and the cloud both step the model's blocks, and the agents
+    # give only their initial states: agents laid out as the model's blocks
+    # but with another A or W run the model's own loop, bit for bit.
+    model, agents = _two_agent_setup(x0_cov=np.eye(2))
+    syn = synthesize(model)
+    horizon, seeds = SIM_CHUNK_STEPS + 44, [5, 6]
+    batch = (syn.L, [model.sigmas], [syn.kalman_gain])
+    trace = run_simulation(model, agents, horizon, seeds[0], synthesis=syn)
+    costs = average_costs(model, agents, horizon, seeds, *batch)
+    for name, value in (("A", 2.0 * agents[1].A), ("W", 3.0 * agents[1].W)):
+        others = [agents[0], replace(agents[1], **{name: value})]
+        other = run_simulation(model, others, horizon, seeds[0], synthesis=syn)
+        for field in ("x", "x_hat", "u", "y_bar", "stage_cost", "avg_cost", "x_hat0"):
+            assert np.array_equal(getattr(other, field), getattr(trace, field)), (name, field)
+        assert np.array_equal(average_costs(model, others, horizon, seeds, *batch),
+                              costs), name
 
 
 def test_x0_true_and_x0_cov_initialization():

@@ -373,6 +373,13 @@ def test_privacy_spec_validation():
         PrivacySpec(epsilon=1.0, delta=0.1, adjacency_bound=0.0)
     with pytest.raises(ValueError):
         PrivacySpec(epsilon=math.inf, delta=0.1)
+    # a real number is an int or a float, never a bool or a string
+    for bad, name in (({"epsilon": "0.1"}, "epsilon"), ({"epsilon": True}, "epsilon"),
+                      ({"delta": "0.01"}, "delta"), ({"delta": False}, "delta"),
+                      ({"adjacency_bound": "1e0"}, "adjacency_bound")):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            PrivacySpec(**{"epsilon": 1.0, "delta": 0.1, **bad})
+    assert PrivacySpec(epsilon=1, delta=0.1, adjacency_bound=2) == PrivacySpec(1.0, 0.1, 2.0)
     # every function that takes the budget b applies the same rule
     with pytest.raises(ValueError, match="adjacency_bound must be positive"):
         sensitivity_bound(np.eye(2), math.inf)

@@ -376,6 +376,13 @@ def test_dimension_mismatches_raise_value_error():
                        (lambda: dare_residual_filter(one, one, inf, one, one), "C")):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got NaN or inf$"):
             call()
+    # so is an empty A: a system with no states is neither controllable nor not
+    empty = np.zeros((0, 0))
+    for call in (lambda: is_controllable(empty, np.zeros((0, 1))),
+                 lambda: is_observable(empty, np.zeros((1, 0))),
+                 lambda: solve_dare_control(empty, np.zeros((0, 1)), empty, one)):
+        with pytest.raises(ValueError, match=r"^A must have at least one row, got shape \(0, 0\)$"):
+            call()
 
 
 def test_iteration_cap_reports_progress(monkeypatch):

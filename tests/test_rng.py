@@ -173,8 +173,6 @@ def test_psd_factor_positive_definite_uses_cholesky():
     F = psd_factor(M)
     assert_allclose(F, np.linalg.cholesky(M), rtol=1e-12)
     assert_allclose(F @ F.T, M, rtol=1e-12)
-    # an empty covariance has an empty factor
-    assert psd_factor(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_psd_factor_semidefinite_fallback():
@@ -190,6 +188,8 @@ def test_psd_factor_rejects_indefinite_and_nonsquare():
         psd_factor(np.array([[1.0, 0.0], [0.0, -0.5]]))
     with pytest.raises(ValueError):
         psd_factor(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="covariance must have at least one row"):
+        psd_factor(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         psd_factor(np.array([[1.0, 0.5], [0.1, 1.0]]))  # asymmetric
     for bad in ([[np.inf]], [[np.nan]]):
