@@ -99,11 +99,14 @@ def check_spd(M, name):
 
 
 def check_real(value, name):
-    """float(value); ValueError naming it unless value is a real number: an
-    int or a float, numpy's included, but not a bool or a string such as "0.1"."""
+    """float(value); ValueError naming it unless value is a real number: an int
+    within the double range or a float, numpy's included, not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the double range") from None
 
 
 def check_positive(value, name, allow_zero=False):

@@ -22,33 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riccati import (
-    ControlSynthesis,
-    FilterSynthesis,
-    solve_dare_control,
-    solve_dare_filter,
-)
+from .riccati import ControlSynthesis, FilterSynthesis, solve_dare_control, solve_dare_filter
 
 
 @dataclass(frozen=True)
-class SynthesisResult:
-    """Everything the cloud precomputes before the first step."""
-
-    K: np.ndarray
-    L: np.ndarray
-    Sigma: np.ndarray
-    SigmaBar: np.ndarray
-    kalman_gain: np.ndarray
-
-    @property
-    def control(self):
-        return ControlSynthesis(K=self.K, L=self.L)
+class SynthesisResult(ControlSynthesis, FilterSynthesis):
+    """Everything the cloud precomputes before the first step: the regulator's
+    and the filter's solver records as one, residuals and spectral radius included."""
 
     @property
     def filter(self):
-        return FilterSynthesis(
-            Sigma=self.Sigma, SigmaBar=self.SigmaBar, kalman_gain=self.kalman_gain
-        )
+        """The filter record, which this result is."""
+        return self
 
 
 def synthesize(model):
@@ -60,13 +45,7 @@ def synthesize(model):
     """
     control = solve_dare_control(model.A, model.B, model.Q, model.R)
     filt = solve_dare_filter(model.A, model.C, model.W, model.V)
-    return SynthesisResult(
-        K=control.K,
-        L=control.L,
-        Sigma=filt.Sigma,
-        SigmaBar=filt.SigmaBar,
-        kalman_gain=filt.kalman_gain,
-    )
+    return SynthesisResult(**vars(control), **vars(filt))
 
 
 def filter_step(A, B, C, gain, x_hat, u, y_bar_next):

@@ -95,7 +95,8 @@ class AgentModel:
     initial state and defaults to x0_mean. When x0_cov is given and x0_true
     is not, the true initial state is drawn from N(x0_mean, x0_cov) on the
     agent's init stream. x0_cov must be symmetric positive semidefinite,
-    as dplqg.rng.psd_factor requires.
+    as dplqg.rng.psd_factor requires. W is stored symmetrized, so the
+    plant's noise, the filter and its residual read one W.
     """
 
     A: np.ndarray
@@ -121,7 +122,7 @@ class AgentModel:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
             check_finite(value, name)
             object.__setattr__(self, name, value)
-        check_spd(self.W, "W")
+        object.__setattr__(self, "W", check_spd(self.W, "W"))
         if self.x0_cov is not None:
             try:
                 psd_factor(self.x0_cov)

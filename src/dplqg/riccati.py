@@ -23,9 +23,11 @@ every step, which is the dynamic-programming value recursion and converges
 to the unique stabilizing solution under the standing assumptions (positive
 definite weights, controllable input pair, observable output pair), which
 check_preconditions states once per problem for both solvers and network
-assembly. The iteration is deliberately simple and fully deterministic;
-tests cross-check it against closed-form scalar solutions and an
-independent dense solver. Each step keeps the bits of its `@` and
+assembly. Each solver's record keeps the residual it accepted its fixed
+point with, and the regulator's the spectral radius of its Schur check.
+The iteration is deliberately simple and fully deterministic; tests
+cross-check it against closed-form scalar solutions and an independent
+dense solver. Each step keeps the bits of its `@` and
 np.linalg.norm spelling, which the tests keep as an oracle, because it
 makes the same BLAS/LAPACK calls: ndarray.dot reaches the same BLAS
 routines as `@`, each norm is np.linalg.norm's own ddot in memory order,
@@ -47,10 +49,13 @@ RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ControlSynthesis:
-    """Stationary regulator: Riccati solution K and feedback gain L."""
+    """Stationary regulator: Riccati solution K, feedback gain L, the residual
+    K was accepted with and the spectral radius of the closed loop A + B L."""
 
     K: np.ndarray
     L: np.ndarray
+    control_residual: float
+    closed_loop_spectral_radius: float
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,14 @@ class FilterSynthesis:
 
     Sigma is the one-step prediction error covariance, SigmaBar the
     filtered (post-measurement) error covariance, kalman_gain the matrix
-    SigmaBar C^T V^{-1} applied to the innovation.
+    SigmaBar C^T V^{-1} applied to the innovation, filter_residual the
+    residual the solve accepted Sigma with.
     """
 
     Sigma: np.ndarray
     SigmaBar: np.ndarray
     kalman_gain: np.ndarray
+    filter_residual: float
 
 
 def _dual_pair(A, C):
@@ -161,9 +168,9 @@ def _iterate_to_fixed_point(A, B, Q, R):
 
     Convergence is declared when the relative Frobenius change drops below
     CONVERGENCE_RTOL; the converged iterate must then pass the residual
-    check, otherwise ConvergenceError reports how far the solve got. A step
-    whose change is not finite (the iterate overflowed) raises it at once,
-    with a NaN residual.
+    check and is returned with its residual, otherwise ConvergenceError
+    reports how far the solve got. A step whose change is not finite (the
+    iterate overflowed) raises it at once, with a NaN residual.
     """
     At, Bt = A.T, B.T
     X = 0.5 * (Q + Q.T)
@@ -179,7 +186,7 @@ def _iterate_to_fixed_point(A, B, Q, R):
         if change < CONVERGENCE_RTOL:
             res = _residual(X, A, At, B, Bt, Q, R)
             if res <= RESIDUAL_RTOL:
-                return X
+                return X, res
             raise ConvergenceError(
                 f"iteration stalled after {iteration} steps with residual {res:.3e}",
                 iterations=iteration,
@@ -195,7 +202,7 @@ def _iterate_to_fixed_point(A, B, Q, R):
 
 
 def solve_dare_control(A, B, Q, R):
-    """Solve the regulator Riccati equation and return (K, L).
+    """Solve the regulator Riccati equation and return its ControlSynthesis.
 
     Requires Q and R symmetric positive definite and (A, B) controllable;
     violations raise AssumptionError naming the failed condition. The
@@ -203,33 +210,34 @@ def solve_dare_control(A, B, Q, R):
     """
     A, B = check_pair(A, B)
     Q, R = check_preconditions(A, B, Q, R)
-    K = _iterate_to_fixed_point(A, B, Q, R)
+    K, residual = _iterate_to_fixed_point(A, B, Q, R)
     L = -np.linalg.solve(R + B.T @ K @ B, B.T @ K @ A)
-    closed = A + B @ L
-    radius = float(np.abs(np.linalg.eigvals(closed)).max())
+    radius = float(np.abs(np.linalg.eigvals(A + B @ L)).max())
     if radius >= 1.0:
         raise ConvergenceError(
             f"closed loop not Schur stable (spectral radius {radius:.6f})",
-            residual=_residual(K, A, A.T, B, B.T, Q, R),
+            residual=residual,
         )
-    return ControlSynthesis(K=K, L=L)
+    return ControlSynthesis(K=K, L=L, control_residual=residual,
+                            closed_loop_spectral_radius=radius)
 
 
 def solve_dare_filter(A, C, W, V):
-    """Solve the filter Riccati equation and return (Sigma, SigmaBar, gain).
+    """Solve the filter Riccati equation and return its FilterSynthesis.
 
     Requires W and V symmetric positive definite and (A, C) observable;
     violations raise AssumptionError naming the failed condition.
     """
     At, Ct = _dual_pair(A, C)
     W, V = check_preconditions(At, Ct, W, V, dual=True)
-    Sigma = _iterate_to_fixed_point(At, Ct, W, V)
+    Sigma, residual = _iterate_to_fixed_point(At, Ct, W, V)
     C = Ct.T
     innovation_cov = C @ Sigma @ C.T + V
     SigmaBar = Sigma - Sigma @ C.T @ np.linalg.solve(innovation_cov, C @ Sigma)
     SigmaBar = 0.5 * (SigmaBar + SigmaBar.T)
     kalman_gain = SigmaBar @ C.T @ np.linalg.inv(V)
-    return FilterSynthesis(Sigma=Sigma, SigmaBar=SigmaBar, kalman_gain=kalman_gain)
+    return FilterSynthesis(Sigma=Sigma, SigmaBar=SigmaBar, kalman_gain=kalman_gain,
+                           filter_residual=residual)
 
 
 def _residual(K, A, At, B, Bt, Q, R):

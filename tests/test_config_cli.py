@@ -52,6 +52,27 @@ CASE_STUDY_BOUND_REPORT = (
     b"posterior_floor_diag = 0.9981888785356193, 0.9981888785356193, "
     b"0.3333333333333334, 0.3333333333333334\n"
 )
+# the synthesize verb's summary of each shipped config, frozen bytewise
+SYNTHESIS_SUMMARIES = {
+    "sweep_4agent.json": (
+        b"control_residual = 7.951064052879909e-13\n"
+        b"filter_residual = 1.041711835896473e-13\n"
+        b"closed_loop_spectral_radius = 0.9265732928719442\n"
+        b"logdet_prediction_cov = 3.546865992051656\n"
+        b"sigma_agent0 = 1.120656711733085\n"
+        b"sigma_agent1 = 1.120656711733085\n"
+        b"sigma_agent2 = 1.120656711733085\n"
+        b"sigma_agent3 = 1.120656711733085\n"
+    ),
+    "case_study_2agent.json": (
+        b"control_residual = 7.742328213836318e-13\n"
+        b"filter_residual = 9.149853235241269e-13\n"
+        b"closed_loop_spectral_radius = 0.9048024432667668\n"
+        b"logdet_prediction_cov = 6.462095058278662\n"
+        b"sigma_agent0 = 23.476458057296718\n"
+        b"sigma_agent1 = 0.7071067811865476\n"
+    ),
+}
 
 
 def _agent_dict(**overrides):
@@ -295,6 +316,13 @@ def test_cli_synthesize_reruns_byte_identical(tmp_path):
     assert main(["synthesize", "--config", cfg_path, "--out", str(out2)]) == 0
     for name in ["K.csv", "L.csv", "Sigma.csv", "synthesis_summary.txt"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHESIS_SUMMARIES))
+def test_cli_synthesize_summary_of_shipped_configs(tmp_path, name):
+    out = tmp_path / "syn"
+    assert main(["synthesize", "--config", str(CONFIG_DIR / name), "--out", str(out)]) == 0
+    assert (out / "synthesis_summary.txt").read_bytes() == SYNTHESIS_SUMMARIES[name]
 
 
 def test_cli_simulate_trace_and_summary(tmp_path):
@@ -616,9 +644,10 @@ def test_cli_exit_code_invalid_config(tmp_path, capsys):
     assert "R must have at least one row, got shape (0, 0)" in capsys.readouterr().err
 
 
-# per field: bad values and the error each names, a non-finite number, and a
-# JSON string or bool where a number belongs (never converted), or a vector
-# given as rows (never flattened)
+# per field: bad values and the error each names, a non-finite number, a
+# JSON integer beyond the double range (401 digits), and a JSON string or
+# bool where a number belongs (never converted), or a vector given as rows
+# (never flattened)
 _BAD_NUMBERS = {
     "x0_mean": [([float("inf"), 0.0], "x0_mean must be finite"),
                 (["1", "0"], "agents[0].x0_mean: not a numeric vector"),
@@ -626,8 +655,10 @@ _BAD_NUMBERS = {
     "A": [([[float("nan"), 0.1], [0.0, 1.0]], "A must be finite"),
           ([["1", "0.1"], ["0", "1"]], "agents[0].A: not a numeric matrix"),
           ([[True, 0.1], [0, 1]], "agents[0].A: not a numeric matrix"),
-          ([[True, False], [False, True]], "agents[0].A: not a numeric matrix")],
+          ([[True, False], [False, True]], "agents[0].A: not a numeric matrix"),
+          ([[10**400, 0.1], [0, 1]], "agents[0].A: not a numeric matrix")],
     "epsilon": [(True, "epsilon must be a real number, got True"),
+                (10**400, "epsilon must be within the double range"),
                 ("0.1", "epsilon must be a real number, got '0.1'")],
     "delta": [("0.01", "delta must be a real number, got '0.01'")],
     "adjacency_bound": [("1e0", "adjacency_bound must be a real number, got '1e0'")],

@@ -1,5 +1,7 @@
 """Tests for the cloud-side synthesis, filtering, and cost accounting."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,8 @@ from dplqg.lqg import (
 )
 from dplqg.network import AgentModel, assemble_network
 from dplqg.privacy import PrivacySpec
-from dplqg.riccati import solve_dare_control, solve_dare_filter
+from dplqg.riccati import (ControlSynthesis, FilterSynthesis, solve_dare_control,
+                           solve_dare_filter)
 from dplqg.rng import GaussianStream
 
 
@@ -29,18 +32,18 @@ def _two_state_network(epsilon=1.0, delta=0.1, b=1.0):
 
 
 def test_synthesize_composes_the_two_riccati_solves():
+    # the result is both solver records, every field as its solver gave it
     model, _ = _two_state_network()
     syn = synthesize(model)
     ctrl = solve_dare_control(model.A, model.B, model.Q, model.R)
     filt = solve_dare_filter(model.A, model.C, model.W, model.V)
-    assert np.array_equal(syn.K, ctrl.K)
-    assert np.array_equal(syn.L, ctrl.L)
-    assert np.array_equal(syn.Sigma, filt.Sigma)
-    assert np.array_equal(syn.SigmaBar, filt.SigmaBar)
-    assert np.array_equal(syn.kalman_gain, filt.kalman_gain)
-    # accessor dataclasses round-trip
-    assert np.array_equal(syn.control.L, syn.L)
-    assert np.array_equal(syn.filter.Sigma, syn.Sigma)
+    assert isinstance(syn, ControlSynthesis) and isinstance(syn, FilterSynthesis)
+    names = [f.name for f in fields(syn)]
+    assert sorted(names) == sorted(f.name for rec in (ctrl, filt) for f in fields(rec))
+    for rec in (ctrl, filt):
+        for f in fields(rec):
+            assert np.array_equal(getattr(syn, f.name), getattr(rec, f.name)), f.name
+    assert syn.filter is syn
 
 
 def test_feedback_gain_ignores_privacy_level():

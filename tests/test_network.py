@@ -1,18 +1,21 @@
 """Tests for network assembly, simulation, the wire log, and replay."""
 
 import csv
+import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_discrete_lyapunov
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dplqg.bounds import logdet
+from dplqg.config import build_network, load
 from dplqg.errors import AssumptionError
 from dplqg.lqg import filter_step, synthesize
 from dplqg.network import (
@@ -35,7 +38,7 @@ from dplqg.network import (
 )
 from dplqg.output import write_matrix
 from dplqg.privacy import PrivacySpec, calibrate_sigma
-from dplqg.riccati import solve_dare_filter
+from dplqg.riccati import dare_residual_control, dare_residual_filter, solve_dare_filter
 from dplqg.rng import (
     INIT_STATE,
     PRIVACY_NOISE,
@@ -814,6 +817,82 @@ def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed, ot
                                              other.avg_cost[-1]]), j
         else:
             assert np.isnan(costs[j]).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=_noisy_networks())
+@example(net=_interleaved_network())
+def test_synthesis_keeps_the_residuals_and_radius_of_the_model(net):
+    # The record's residuals and radius are the solves' own, bit for bit
+    # what the public residuals and a fresh eigenvalue solve give on the model.
+    model, _ = net
+    syn = synthesize(model)
+    assert syn.control_residual == dare_residual_control(syn.K, model.A, model.B,
+                                                         model.Q, model.R)
+    assert syn.filter_residual == dare_residual_filter(syn.Sigma, model.A, model.C,
+                                                       model.W, model.V)
+    radius = np.abs(np.linalg.eigvals(model.A + model.B @ syn.L)).max()
+    assert syn.closed_loop_spectral_radius == radius
+
+
+def test_one_symmetrized_w_for_plant_filter_and_residual():
+    # A W within the symmetry tolerance but not exactly symmetric is kept
+    # symmetrized: the plant's noise, the filter and its residual read the
+    # same W, and the agent runs as with the symmetrized W given.
+    W = np.array([[1.0, 0.5], [0.5 + 3e-12, 1.0]])
+    assert not np.array_equal(W, W.T)
+    asym = _double_integrator_agent(epsilon=1.0, delta=0.1)
+    asym = replace(asym, W=W, x0_cov=np.eye(2))
+    sym = replace(asym, W=0.5 * (W + W.T))
+    assert np.array_equal(asym.W, sym.W)
+    model = assemble_network([asym], Q=np.eye(2), R=np.eye(1))
+    assert np.array_equal(model.W, model.W.T)
+    syn = synthesize(model)
+    assert syn.filter_residual == dare_residual_filter(syn.Sigma, model.A, model.C,
+                                                       model.W, model.V)
+    traces = [run_simulation(assemble_network([ag], Q=np.eye(2), R=np.eye(1)), [ag],
+                             40, 5, synthesis=syn) for ag in (asym, sym)]
+    assert np.array_equal(traces[0].x, traces[1].x)
+
+
+def test_average_costs_match_the_exact_stationary_cost():
+    # Under the stationary gains z = [x; e], e = x - xhat, is a Gauss-Markov
+    # chain z(k+1) = Phi z(k) + G xi(k), xi(k) = (w(k), v(k+1)), with stage
+    # cost z^T M z. From z(0) = 0 the covariance recursion gives the expected
+    # average of a T-step run; with Gamma = Phi Gamma Phi^T + G S G^T and
+    # P = Phi^T P Phi + M, the stage cost's long-run variance is
+    # 2 (2 tr(P Gamma M Gamma) - tr((M Gamma)^2)). The engine's mean over 20
+    # seeds must lie within 4 standard errors of the expected average.
+    cfg = load(Path(__file__).resolve().parent.parent / "configs/sweep_4agent.json")
+    model, agents = build_network(cfg)
+    assert all(not ag.x0_mean.any() and ag.x0_true is None and ag.x0_cov is None
+               for ag in agents)
+    syn = synthesize(model)
+    L, gain, n, T, seeds = syn.L, syn.kalman_gain, model.n, cfg.horizon, 20
+    I, Z = np.eye(n), np.zeros((n, n))
+    LRL = L.T @ model.R @ L
+    Phi = np.block([[model.A + model.B @ L, -model.B @ L], [Z, (I - gain @ model.C) @ model.A]])
+    G = np.block([[I, Z], [I - gain @ model.C, -gain]])
+    M = np.block([[model.Q + LRL, -LRL], [-LRL, LRL]])
+    noise = G @ block_diag(model.W, model.V) @ G.T
+    cov, total = np.zeros((2 * n, 2 * n)), 0.0
+    for _ in range(T):
+        total += np.trace(M @ cov)
+        cov = Phi @ cov @ Phi.T + noise
+    expected = total / T
+    Gamma = solve_discrete_lyapunov(Phi, noise)
+    P = solve_discrete_lyapunov(Phi.T, M)
+    MG = M @ Gamma
+    variance = 2.0 * (2.0 * np.trace(P @ Gamma @ MG) - np.trace(MG @ MG))
+    # J = tr(M Gamma) is also tr(K W) + tr(L^T (R + B^T K B) L SigmaBar)
+    BKB = model.B.T @ syn.K @ model.B
+    J = np.trace(syn.K @ model.W) + np.trace(L.T @ (model.R + BKB) @ L @ syn.SigmaBar)
+    assert_allclose(np.trace(MG), J, rtol=1e-9)
+    se = math.sqrt(variance / T / seeds)
+    costs = average_costs(model, agents, T, range(cfg.seed, cfg.seed + seeds), L,
+                          [model.sigmas], [gain])
+    assert costs.shape == (1, seeds)
+    assert abs(costs.mean() - expected) < 4.0 * se, (costs.mean(), expected, se)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -468,8 +468,9 @@ def _assert_step_matches_oracle(A, B, Q, R, rng):
     X = X @ X.T
     assert np.array_equal(_bits(riccati._riccati_map(X, A, A.T, B, B.T, Q, R)),
                           _bits(_ref_riccati_map(X, A, B, Q, R)))
-    K = riccati._iterate_to_fixed_point(A, B, Q, R)
+    K, residual = riccati._iterate_to_fixed_point(A, B, Q, R)
     assert np.array_equal(_bits(K), _bits(_ref_iterate_to_fixed_point(A, B, Q, R)))
+    assert _bits(residual) == _bits(_ref_dare_residual_control(K, A, B, Q, R))
     # a non-symmetric F-ordered candidate: the norms must sum in memory order
     K_f = np.asfortranarray(K + 1e-3 * rng.standard_normal((n, n)))
     for cand in (K, X, K_f, K_f.T):
@@ -514,7 +515,9 @@ def test_riccati_step_matches_oracle_bit_for_bit(case, dual):
 
 
 def test_synthesis_dataclasses_hold_arrays():
-    c = ControlSynthesis(K=np.eye(2), L=np.zeros((1, 2)))
+    c = ControlSynthesis(K=np.eye(2), L=np.zeros((1, 2)), control_residual=0.0,
+                         closed_loop_spectral_radius=0.5)
     assert c.K.shape == (2, 2)
-    f = FilterSynthesis(Sigma=np.eye(2), SigmaBar=np.eye(2), kalman_gain=np.eye(2))
+    f = FilterSynthesis(Sigma=np.eye(2), SigmaBar=np.eye(2), kalman_gain=np.eye(2),
+                        filter_residual=0.0)
     assert f.kalman_gain.shape == (2, 2)
