@@ -10,8 +10,9 @@ Protocol per step k (all agents, then the cloud, then all agents):
 4. every agent steps x_i(k+1) = A_i x_i(k) + B_i u_i(k) + w_i(k).
 
 The engine steps the cloud's model: A_i, B_i, C_i and w_i's covariance W_i
-are the NetworkModel's diagonal blocks, and the agents give only their
-initial states (x0_mean, x0_true, x0_cov), laid out as the model's blocks.
+are the NetworkModel's blocks, from which the model derives its aggregates
+and the engine's stacks, and the agents give only their initial states
+(x0_mean, x0_true, x0_cov), laid out as the model's blocks.
 
 The wire log is the trace's y_bar and u arrays, which trace.messages holds
 read-only as a WireLog: row k holds the 2 N messages of step k. It is
@@ -36,11 +37,11 @@ reasons:
 * a per-run matrix-vector kernel: the state is held as (S, n, 1) columns and
   every product is an np.matmul M @ X, with M shared (n, n), per run
   (S, n, n), or, for a run of consecutive agents of equal (n_i, m_i), their
-  stacked (G, n_i, n_i) blocks. A stacked matmul runs each column through
-  the same matrix-vector kernel as C_i @ x_i of one agent in one run. A
-  block-diagonal A @ x over the whole state, Z @ F^T over the rows, or one
-  matrix-matrix product over the S runs sums in another order and moves the
-  last bits, so none is used;
+  stacked (G, n_i, n_i) blocks in NetworkModel.stacks. A stacked matmul
+  runs each column through the same matrix-vector kernel as C_i @ x_i of
+  one agent in one run. A block-diagonal A @ x over the whole state,
+  Z @ F^T over the rows, or one matrix-matrix product over the S runs sums
+  in another order and moves the last bits, so none is used;
 * chunked row draws that continue the stream: the horizon runs in chunks of
   SIM_CHUNK_STEPS steps, and each chunk draws its rows of every stream once
   for the whole batch (GaussianStream.standard_normal_rows). Successive row
@@ -53,8 +54,9 @@ reasons:
 """
 
 import io
-from dataclasses import dataclass, field
-from itertools import chain, groupby, zip_longest
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate, chain, groupby, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -73,8 +75,7 @@ CLOUD = "cloud"
 
 def _slices(dims):
     """Consecutive slices of the given widths."""
-    offsets = np.concatenate(([0], np.cumsum(dims)))
-    return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+    return [slice(stop - dim, stop) for stop, dim in zip(accumulate(dims), dims)]
 
 
 def _block_diag(blocks):
@@ -140,40 +141,47 @@ class AgentModel:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Block-diagonal aggregate of all agents plus the cloud's cost weights.
+    """The agents' blocks, their noise scales and the cloud's cost weights.
 
-    V is not an argument: it is derived from the agents' noise scales as
-    blockdiag(sigma_i^2 I_{n_i}), so it always agrees with sigmas. Privacy
-    enters the model only through sigmas, and replace(model, sigmas=...)
-    is the same network at other privacy levels.
+    blocks, each agent's (A_i, B_i, C_i, W_i), is the one source of the
+    dynamics: the block-diagonal A, B, C and W, V = blockdiag(sigma_i^2
+    I_{n_i}), the dims and the engine's stacks are derived on first use and
+    kept, so none can be set apart from the blocks (replace(model, A=...)
+    raises TypeError). replace(model, sigmas=...) re-noises the network.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    W: np.ndarray
-    V: np.ndarray = field(init=False)
+    blocks: tuple
     Q: np.ndarray
     R: np.ndarray
-    state_dims: tuple
-    input_dims: tuple
     sigmas: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "V", np.diag(
-            np.repeat(np.square(self.sigmas), self.state_dims)))
+    # the aggregates, each the block-diagonal matrix of the agents' k-th blocks
+    A, B, C, W = (cached_property(lambda self, k=k: _block_diag([b[k] for b in self.blocks]))
+                  for k in range(4))
+
+    @cached_property
+    def V(self):
+        return np.diag(np.repeat(np.square(self.sigmas), self.state_dims))
+
+    @cached_property
+    def state_dims(self):
+        return tuple(A_i.shape[0] for A_i, *_ in self.blocks)
+
+    @cached_property
+    def input_dims(self):
+        return tuple(B_i.shape[1] for _, B_i, *_ in self.blocks)
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return sum(self.state_dims)
 
     @property
     def m(self):
-        return self.B.shape[1]
+        return sum(self.input_dims)
 
     @property
     def n_agents(self):
-        return len(self.state_dims)
+        return len(self.blocks)
 
     @property
     def state_slices(self):
@@ -183,33 +191,39 @@ class NetworkModel:
     def input_slices(self):
         return _slices(self.input_dims)
 
+    @cached_property
+    def stacks(self):
+        """Per maximal run of consecutive agents of equal (n_i, m_i):
+        (state slice, input slice, G, n_i, m_i, A, B, C), where its G agents'
+        entries sit in x and u, and their A_i, B_i and C_i stacked as
+        C-contiguous (G, ...) arrays."""
+        stacks, s, t = [], 0, 0
+        for (n, m), run in groupby(self.blocks, key=lambda blk: blk[1].shape):
+            A, B, C = (np.stack(Ms) for Ms in list(zip(*run))[:3])
+            G = len(A)
+            stacks.append((slice(s, s + G * n), slice(t, t + G * m), G, n, m, A, B, C))
+            s, t = s + G * n, t + G * m
+        return stacks
+
 
 def assemble_network(agents, Q, R):
-    """Stack agent models into a NetworkModel and validate the assumptions.
+    """The NetworkModel of the agents' blocks, once its assumptions hold.
 
-    Calibrates each agent's noise scale from its PrivacySpec and output map,
-    forms the block-diagonal (A, B, C, W), from which the model derives
-    V = blockdiag(sigma_i^2 I), and checks both Riccati problems'
-    preconditions (dplqg.riccati.check_preconditions): Q, R, W, V
-    symmetric positive definite, (A, B) controllable, (A, C) observable.
-    Violations raise AssumptionError naming the failing condition.
+    Calibrates each agent's noise scale from its PrivacySpec and output map
+    and checks both Riccati problems' preconditions
+    (dplqg.riccati.check_preconditions) on the model, which keeps the
+    symmetrized Q and R: Q, R, W, V symmetric positive definite, (A, B)
+    controllable, (A, C) observable. Violations raise AssumptionError
+    naming the failing condition.
     """
     agents = list(agents)
     if not agents:
         raise ValueError("at least one agent is required")
-    A = _block_diag([ag.A for ag in agents])
-    B = _block_diag([ag.B for ag in agents])
-    C = _block_diag([ag.C for ag in agents])
-    W = _block_diag([ag.W for ag in agents])
-    sigmas = tuple(calibrate_sigma(ag.privacy, ag.C) for ag in agents)
-    Q, R = check_preconditions(A, B, Q, R)
-    model = NetworkModel(
-        A=A, B=B, C=C, W=W, Q=Q, R=R,
-        state_dims=tuple(ag.n for ag in agents),
-        input_dims=tuple(ag.m for ag in agents),
-        sigmas=sigmas,
-    )
-    check_preconditions(A.T, C.T, W, model.V, dual=True)
+    model = NetworkModel(tuple((ag.A, ag.B, ag.C, ag.W) for ag in agents), Q, R,
+                         tuple(calibrate_sigma(ag.privacy, ag.C) for ag in agents))
+    Q, R = check_preconditions(model.A, model.B, Q, R)
+    model = replace(model, Q=Q, R=R)
+    check_preconditions(model.A.T, model.C.T, model.W, model.V, dual=True)
     return model
 
 
@@ -292,26 +306,6 @@ class _Chunk(NamedTuple):
     avg_cost: np.ndarray
 
 
-def _agent_runs(model):
-    """Maximal runs of consecutive agents of equal (n_i, m_i) in the model.
-
-    Each run is (state slice, input slice, G, n_i, m_i, A, B, C): where its
-    G agents' entries sit in the network vectors, and their diagonal blocks
-    of model.A, model.B and model.C stacked as (G, ...) arrays. A run is
-    contiguous in x and u, so each chunk reaches it through a basic view.
-    """
-    S, I = model.state_slices, model.input_slices
-    dims = list(zip(model.state_dims, model.input_dims))
-    runs = []
-    for (n, m), group in groupby(range(len(dims)), key=dims.__getitem__):
-        r = list(group)
-        blocks = [np.stack([M[S[i], cols[i]] for i in r])
-                  for M, cols in ((model.A, S), (model.B, I), (model.C, S))]
-        runs.append((slice(S[r[0]].start, S[r[-1]].stop),
-                     slice(I[r[0]].start, I[r[-1]].stop), len(r), n, m, *blocks))
-    return runs
-
-
 def _floats(value, name, rule):
     """value as a float array; ValueError naming it when its rows are
     ragged or not numbers."""
@@ -325,7 +319,8 @@ def _floats(value, name, rule):
 def _check_batch(model, agents, horizon, seeds, L, sigmas, gains):
     """The agents as a list and L, sigmas and gains as float arrays, once
     checked: the model's count of agents, each laid out as its (n_i, m_i)
-    blocks; a horizon and seeds that are integers >= 0; L of shape (m, n),
+    blocks; a horizon and seeds that are integers >= 0, the horizon at most
+    np.intp's maximum, which no array length exceeds; L of shape (m, n),
     gains of shape (n, n), and per gain one row of the model's N noise
     scales, each finite and >= 0. ValueError names the agent or argument."""
     n, m, N = model.n, model.m, model.n_agents
@@ -336,7 +331,8 @@ def _check_batch(model, agents, horizon, seeds, L, sigmas, gains):
         if (agents[i].n, agents[i].m) != dims:
             raise ValueError(f"agent {i} has (n_i, m_i) = {(agents[i].n, agents[i].m)}, "
                              f"not the model's {dims}")
-    check_count(horizon, "horizon")
+    if check_count(horizon, "horizon") > np.iinfo(np.intp).max:
+        raise ValueError(f"horizon must be at most {np.iinfo(np.intp).max}")
     for seed in seeds:
         check_count(seed, "seed")
     sigmas = _floats(sigmas, "sigmas", f"one row of {N} noise scales per gain")
@@ -373,8 +369,7 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     scale = np.repeat(sigmas, model.state_dims, axis=1)[:, :, None]
     privacy = [derive_stream(seed, i, PRIVACY_NOISE) for i in range(N)]
     process = [derive_stream(seed, i, PROCESS_NOISE) for i in range(N)]
-    factors = [psd_factor(model.W[s, s]) for s in S]
-    runs = _agent_runs(model)
+    factors = [psd_factor(W_i) for *_, W_i in model.blocks]
 
     x_hat0 = np.concatenate([ag.x0_mean for ag in agents])
     x = np.empty((n, 1))
@@ -405,7 +400,7 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
                   xs[:, :, s].reshape(T + 1, n_runs, G, n_g, 1),
                   y_bars[:, :, s].reshape(T, n_runs, G, n_g, 1),
                   us[:, :, t].reshape(T, n_runs, G, m_g, 1))
-                 for s, t, G, n_g, m_g, A_g, B_g, C_g in runs]
+                 for s, t, G, n_g, m_g, A_g, B_g, C_g in model.stacks]
         for k in range(T):
             for _, _, C_g, x_g, y_g, _ in views:
                 np.matmul(C_g, x_g[k], out=y_g[k])

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -225,6 +225,24 @@ def test_bound_chain_det_monotonicity_and_am_gm():
         bigger = Mat + H @ H.T
         assert np.linalg.det(Mat) <= np.linalg.det(bigger) * (1.0 + 1e-9)
         assert logdet(Mat) <= np.trace(Mat) - n + 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_diagonal_output_instances())
+def test_entropy_chain_on_applicable_instances(instance):
+    # The whole chain on the solved covariance, where the test above checks
+    # its links on unrelated matrices: Sigma <= cap in PSD order, so
+    # log det Sigma <= log det cap (the determinant is monotone), and
+    # log det cap <= tr cap - n (AM-GM on the eigenvalues of cap). The
+    # tolerance is rounding only: A = 0 gives Sigma = cap = W.
+    A, W, C, V = instance
+    assume(covariance_bound_condition(A, W, C, V)[1] > 1e-6)
+    cap = covariance_upper_bound(A, W, C, V)
+    logdet_sigma = logdet(solve_dare_filter(A, C, W, V).Sigma)
+    logdet_cap, n = logdet(cap), len(A)
+    tol = 1e-12 * max(1.0, abs(logdet_cap), np.trace(cap))
+    assert logdet_sigma <= logdet_cap + tol
+    assert logdet_cap <= np.trace(cap) - n + tol
 
 
 def test_inapplicable_error_carries_margin():

@@ -591,21 +591,43 @@ def test_cli_bound_applicable_and_not(tmp_path):
     assert (out3 / "bound_report.txt").read_bytes() == CASE_STUDY_BOUND_REPORT
 
 
-def test_cli_module_bound_in_subprocess(tmp_path):
-    # the verb as a process: `python -m dplqg.cli`, exit code and bytes
+def _run_cli_module(argv, cwd, timeout):
+    """`python -m dplqg.cli ARGV` on this checkout's src/, as a process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return subprocess.run([sys.executable, "-m", "dplqg.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_cli_module_bound_in_subprocess(tmp_path):
+    # the verb as a process: `python -m dplqg.cli`, exit code and bytes
     out = tmp_path / "bnd"
-    proc = subprocess.run(
-        [sys.executable, "-m", "dplqg.cli", "bound", "--config",
-         str(CONFIG_DIR / "case_study_2agent.json"), "--out", str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_cli_module(["bound", "--config", str(CONFIG_DIR / "case_study_2agent.json"),
+                            "--out", str(out)], tmp_path, timeout=120)
     assert proc.returncode == 5, proc.stderr
     assert "entropy cap not applicable" in proc.stdout
     assert (out / "bound_report.txt").read_bytes() == CASE_STUDY_BOUND_REPORT
+
+
+@pytest.mark.parametrize("verb", ["simulate", "sweep-epsilon"])
+def test_a_horizon_beyond_any_array_length_exits_2_naming_it(verb, tmp_path):
+    # A JSON horizon is any integer >= 0, but no array or chunk loop takes
+    # one above np.intp's maximum: the verb exits 2 naming the horizon. It
+    # runs as a process with a timeout, so a sweep that steps chunks
+    # without end fails instead of hanging.
+    raw = json.loads((CONFIG_DIR / "sweep_4agent.json").read_text())
+    raw["horizon"] = 10**400
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(raw))
+    argv = [verb, "--config", str(config), "--out", str(tmp_path / "out")]
+    if verb == "sweep-epsilon":
+        argv += ["--grid", "1.0", "--seeds", "1"]
+    proc = _run_cli_module(argv, tmp_path, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(rf"^error: horizon must be at most {np.iinfo(np.intp).max}\b",
+                     proc.stderr, re.M), proc.stderr
 
 
 def test_cli_exit_code_invalid_config(tmp_path, capsys):

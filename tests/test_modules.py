@@ -62,3 +62,53 @@ def test_only_output_writes_csv_line_endings():
     # The CSV byte rules sit in dplqg.output alone: every other module
     # writes and checks CSV rows through its row template.
     assert _crlf_modules() == ["output.py"]
+
+
+AGGREGATES = {"A", "B", "C", "W", "V"}
+
+
+def _aggregate_subscripts(function):
+    """(line, name) of each subscript of model.A, .B, .C, .W or .V in a
+    function's ast, directly or through a name assigned from one."""
+    def aggregate(node):
+        return (isinstance(node, ast.Attribute) and node.attr in AGGREGATES
+                and isinstance(node.value, ast.Name) and node.value.id == "model")
+
+    aliases = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ((target, node.value),)
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name) and aggregate(v)}
+    return [(node.lineno, ast.unparse(node.value)) for node in ast.walk(function)
+            if isinstance(node, ast.Subscript) and (aggregate(node.value) or (
+                isinstance(node.value, ast.Name) and node.value.id in aliases))]
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text(), str(path))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_engine_reads_the_models_blocks_not_its_aggregates():
+    # The lockstep engine steps the model's stacks and factors each W_i
+    # from its blocks; it may pass the aggregates whole, as to the filter
+    # step, but never slices a block back out of them.
+    assert _aggregate_subscripts(_function(PACKAGE / "network.py", "_lockstep")) == []
+
+
+def test_aggregate_subscripts_are_found(tmp_path):
+    # the check itself: direct, aliased and unpacked subscripts are caught,
+    # and whole aggregates, other objects' attributes and the stacks pass
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "def engine(model, other):\n"
+        "    A, Q = model.A, model.Q\n"
+        "    W = model.W\n"
+        "    f(model.V[0], A[0, 0], W[1:], Q[0], model.C, other.B[0], model.stacks[0])\n"
+    )
+    assert _aggregate_subscripts(_function(source, "engine")) == [
+        (4, "model.V"), (4, "A"), (4, "W")]

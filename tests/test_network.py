@@ -190,7 +190,7 @@ def test_assemble_network_privacy_noise_block():
     got = solve_dare_filter(renoised.A, renoised.C, renoised.W, renoised.V)
     for name in ("Sigma", "SigmaBar", "kalman_gain"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         replace(model, V=np.eye(4))
 
 
@@ -835,6 +835,44 @@ def test_synthesis_keeps_the_residuals_and_radius_of_the_model(net):
     assert syn.closed_loop_spectral_radius == radius
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=_networks())
+@example(net=_interleaved_network())
+def test_the_blocks_are_the_models_one_source(net):
+    # The engine's stacks are the diagonal blocks of the aggregates, bit for
+    # bit and C-contiguous, one stack per maximal run of consecutive agents
+    # of equal (n_i, m_i). Re-noising keeps every matrix the blocks give,
+    # and nothing derived from the blocks can be set apart from them.
+    model, _ = net
+    S, I = model.state_slices, model.input_slices
+    first, dims = 0, []
+    for s, t, G, n, m, *stacks in model.stacks:
+        run = range(first, first + G)
+        assert (s, t) == (slice(S[run[0]].start, S[run[-1]].stop),
+                          slice(I[run[0]].start, I[run[-1]].stop))
+        assert all((model.state_dims[i], model.input_dims[i]) == (n, m) for i in run)
+        for stack, M, cols in zip(stacks, (model.A, model.B, model.C), (S, I, S)):
+            assert stack.flags.c_contiguous and stack.shape[0] == G
+            for g, i in enumerate(run):
+                block = M[S[i], cols[i]]
+                assert stack[g].shape == block.shape
+                assert stack[g].tobytes() == block.tobytes()
+        first += G
+        dims.append((n, m))
+    assert first == model.n_agents
+    assert all(a != b for a, b in zip(dims, dims[1:]))
+    renoised = replace(model, sigmas=tuple(2.0 * s for s in model.sigmas))
+    for name in ("A", "B", "C", "W"):
+        assert getattr(renoised, name).tobytes() == getattr(model, name).tobytes(), name
+    for got, want in zip(renoised.stacks, model.stacks, strict=True):
+        assert got[:5] == want[:5]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[5:], want[5:]))
+    assert np.array_equal(renoised.V, 4.0 * model.V)
+    for name in ("A", "B", "C", "W", "V", "state_dims", "input_dims", "stacks"):
+        with pytest.raises(TypeError):
+            replace(model, **{name: getattr(model, name)})
+
+
 def test_one_symmetrized_w_for_plant_filter_and_residual():
     # A W within the symmetry tolerance but not exactly symmetric is kept
     # symmetrized: the plant's noise, the filter and its residual read the
@@ -853,6 +891,14 @@ def test_one_symmetrized_w_for_plant_filter_and_residual():
     traces = [run_simulation(assemble_network([ag], Q=np.eye(2), R=np.eye(1)), [ag],
                              40, 5, synthesis=syn) for ag in (asym, sym)]
     assert np.array_equal(traces[0].x, traces[1].x)
+
+
+def _stationary_cost(model, syn):
+    """The closed loop's stationary average cost under syn's gains:
+    J = tr(K W) + tr(L^T (R + B^T K B) L SigmaBar)."""
+    BKB = model.B.T @ syn.K @ model.B
+    return (np.trace(syn.K @ model.W)
+            + np.trace(syn.L.T @ (model.R + BKB) @ syn.L @ syn.SigmaBar))
 
 
 def test_average_costs_match_the_exact_stationary_cost():
@@ -885,9 +931,7 @@ def test_average_costs_match_the_exact_stationary_cost():
     MG = M @ Gamma
     variance = 2.0 * (2.0 * np.trace(P @ Gamma @ MG) - np.trace(MG @ MG))
     # J = tr(M Gamma) is also tr(K W) + tr(L^T (R + B^T K B) L SigmaBar)
-    BKB = model.B.T @ syn.K @ model.B
-    J = np.trace(syn.K @ model.W) + np.trace(L.T @ (model.R + BKB) @ L @ syn.SigmaBar)
-    assert_allclose(np.trace(MG), J, rtol=1e-9)
+    assert_allclose(np.trace(MG), _stationary_cost(model, syn), rtol=1e-9)
     se = math.sqrt(variance / T / seeds)
     costs = average_costs(model, agents, T, range(cfg.seed, cfg.seed + seeds), L,
                           [model.sigmas], [gain])
@@ -913,6 +957,21 @@ def test_entropy_falls_as_epsilon_rises(net, eps_1, ratio):
     gap = np.linalg.eigvalsh(low_eps - high_eps).min()
     assert gap >= -1e-12 * np.linalg.norm(low_eps, 2)
     assert logdet(low_eps) > logdet(high_eps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(net=_noisy_networks(), agent=st.integers(0, 3), factor=st.floats(1.1, 4.0))
+def test_cost_of_privacy_is_monotone(net, agent, factor):
+    # More noise on one agent's measurements raises V in PSD order, and
+    # with it the filtered covariance SigmaBar, while K and L stay: the
+    # stationary cost J never falls. It is the exact statement behind c09's
+    # Monte Carlo comparison of epsilons, which stays as it is.
+    model, _ = net
+    sigmas = list(model.sigmas)
+    sigmas[agent % model.n_agents] *= factor
+    noisier = replace(model, sigmas=tuple(sigmas))
+    J, J_noisier = (_stationary_cost(m, synthesize(m)) for m in (model, noisier))
+    assert J_noisier >= J * (1.0 - 1e-12), (J, J_noisier)
 
 
 def test_wire_never_carries_true_state_values(tmp_path):
