@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (InapplicableBoundError, check_finite, check_positive, check_square,
                      check_symmetric)
-from .output import fmt
 from .riccati import solve_dare_filter
 
 
@@ -180,8 +179,8 @@ class EntropyBoundReport:
     privacy_term: Optional[float] = None
     homogeneous_estimate: Optional[float] = None
 
-    def kv_lines(self):
-        """Flat key = value lines for the text report; the four cap lines
+    def kv_pairs(self):
+        """(key, value) pairs for the text report; the four cap pairs
         follow the verdict and the floors only when the condition holds."""
         keys = (
             "condition_holds", "condition_margin", "variance_floor",
@@ -189,7 +188,7 @@ class EntropyBoundReport:
             "privacy_term", "homogeneous_estimate",
         )
         shown = keys if self.condition_holds else keys[:4]
-        return [f"{key} = {fmt(getattr(self, key))}" for key in shown]
+        return [(key, getattr(self, key)) for key in shown]
 
 
 def _is_homogeneous(W, C, V):

@@ -37,7 +37,7 @@ from .errors import AssumptionError, ConfigError, ConvergenceError, check_count
 from .lqg import synthesize
 from .network import (assemble_network, average_costs, run_simulation, write_messages_csv,
                       write_trace_csv)
-from .output import fmt, write_kv, write_matrix, write_rows
+from .output import write_kv, write_matrix, write_rows
 from .privacy import calibrate_sigma
 from .riccati import solve_dare_control, solve_dare_filter
 
@@ -62,15 +62,12 @@ def cmd_synthesize(cfg):
     write_matrix(syn.Sigma, out_dir / "Sigma.csv")
     write_matrix(syn.SigmaBar, out_dir / "SigmaBar.csv")
     write_matrix(model.V, out_dir / "V.csv")
-    lines = [
-        f"control_residual = {fmt(syn.control_residual)}",
-        f"filter_residual = {fmt(syn.filter_residual)}",
-        f"closed_loop_spectral_radius = {fmt(syn.closed_loop_spectral_radius)}",
-        f"logdet_prediction_cov = {fmt(logdet(syn.Sigma))}",
-    ]
-    for i, sigma in enumerate(model.sigmas):
-        lines.append(f"sigma_agent{i} = {fmt(sigma)}")
-    write_kv(lines, out_dir / "synthesis_summary.txt")
+    write_kv([("control_residual", syn.control_residual),
+              ("filter_residual", syn.filter_residual),
+              ("closed_loop_spectral_radius", syn.closed_loop_spectral_radius),
+              ("logdet_prediction_cov", logdet(syn.Sigma)),
+              *((f"sigma_agent{i}", sigma) for i, sigma in enumerate(model.sigmas))],
+             out_dir / "synthesis_summary.txt")
     print(f"wrote synthesis results to {out_dir}")
     return 0
 
@@ -83,18 +80,12 @@ def cmd_simulate(cfg):
     out_dir = _out_dir(cfg)
     write_trace_csv(trace, out_dir / "trace.csv")
     write_messages_csv(trace.messages, out_dir / "messages.csv")
-    max_norm = (
-        float(np.linalg.norm(trace.x, axis=1).max()) if trace.horizon else 0.0
-    )
-    lines = [
-        f"steps = {trace.horizon}",
-        f"seed = {cfg.seed}",
-        f"message_count = {len(trace.messages)}",
-        f"final_avg_cost = {fmt(trace.avg_cost[-1] if trace.horizon else None)}",
-        f"max_state_norm = {fmt(max_norm)}",
-        f"logdet_prediction_cov = {fmt(logdet(syn.Sigma))}",
-    ]
-    write_kv(lines, out_dir / "simulate_summary.txt")
+    max_norm = float(np.linalg.norm(trace.x, axis=1).max()) if trace.horizon else 0.0
+    write_kv([("steps", trace.horizon), ("seed", cfg.seed),
+              ("message_count", len(trace.messages)),
+              ("final_avg_cost", trace.avg_cost[-1] if trace.horizon else None),
+              ("max_state_norm", max_norm), ("logdet_prediction_cov", logdet(syn.Sigma))],
+             out_dir / "simulate_summary.txt")
     print(f"wrote simulation results to {out_dir}")
     return 0
 
@@ -174,7 +165,7 @@ def cmd_bound(cfg):
     path = out_dir / "bound_report.txt"
     report = entropy_bound_report(model.A, model.W, model.C, model.V)
     status = "applicable" if report.condition_holds else "inapplicable"
-    write_kv([f"status = {status}"] + report.kv_lines(), path)
+    write_kv([("status", status), *report.kv_pairs()], path)
     if not report.condition_holds:
         print(f"entropy cap not applicable "
               f"(margin {report.condition_margin:.6g}); verdict written to {path}")

@@ -49,8 +49,8 @@ reasons:
   whole-horizon draw;
 * additions in per-agent order: each step adds the noise after the
   products, y = C x + v and x+ = (A x + B u) + w with v = sigma z and
-  w = F z, and the running sum of stage costs is carried from chunk to
-  chunk in step order.
+  w = F z, and the stage costs are summed in step order (np.cumsum) by
+  run_simulation and average_costs, the engine keeping no sum of them.
 """
 
 import io
@@ -147,13 +147,20 @@ class NetworkModel:
     dynamics: the block-diagonal A, B, C and W, V = blockdiag(sigma_i^2
     I_{n_i}), the dims and the engine's stacks are derived on first use and
     kept, so none can be set apart from the blocks (replace(model, A=...)
-    raises TypeError). replace(model, sigmas=...) re-noises the network.
+    raises TypeError). replace(model, sigmas=...) re-noises the network;
+    sigmas, one finite scale >= 0 per agent, are kept as floats.
     """
 
     blocks: tuple
     Q: np.ndarray
     R: np.ndarray
     sigmas: tuple
+
+    def __post_init__(self):
+        sigmas = tuple(check_positive(s, "sigmas", allow_zero=True) for s in self.sigmas)
+        if len(sigmas) != self.n_agents:
+            raise ValueError(f"sigmas must be {self.n_agents} noise scales, got {len(sigmas)}")
+        object.__setattr__(self, "sigmas", sigmas)
 
     # the aggregates, each the block-diagonal matrix of the agents' k-th blocks
     A, B, C, W = (cached_property(lambda self, k=k: _block_diag([b[k] for b in self.blocks]))
@@ -303,7 +310,6 @@ class _Chunk(NamedTuple):
     u: np.ndarray
     y_bar: np.ndarray
     stage_cost: np.ndarray
-    avg_cost: np.ndarray
 
 
 def _floats(value, name, rule):
@@ -360,8 +366,7 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     sigmas[j] (one per agent) and filters with Kalman gain gains[j]. Run
     j's rows are bit-equal to those of run_simulation on its own model and
     synthesis; the module docstring says why. Chunks come SIM_CHUNK_STEPS
-    steps at a time, and avg_cost is the running mean of stage costs from
-    step 0.
+    steps at a time, with no cost state passed from chunk to chunk.
     """
     n_runs, n, m, N = len(gains), model.n, model.m, model.n_agents
     A, B, C = model.A, model.B, model.C
@@ -382,7 +387,7 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
         else:
             x[S[i], 0] = ag.x0_mean
     x_hat = np.tile(x_hat0[:, None], (n_runs, 1, 1))
-    total = u = None
+    u = None
     for k0 in range(0, horizon, SIM_CHUNK_STEPS):
         T = min(SIM_CHUNK_STEPS, horizon - k0)
         z, w = np.empty((T, 1, n, 1)), np.empty((T, n, 1))
@@ -416,15 +421,8 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
             xs[k + 1] += w[k]
         x = xs[T]
         xs, us = xs[:T, :, :, 0], us[:, :, :, 0]
-        stage = incremental_cost(xs, us, model.Q, model.R)
-        sums = stage.copy()
-        if total is not None:
-            sums[0] += total
-        sums = np.cumsum(sums, axis=0)
-        total = sums[-1]
-        yield _Chunk(slice(k0, k0 + T), xs, x_hats[:, :, :, 0], us,
-                     y_bars[:, :, :, 0], stage,
-                     sums / np.arange(k0 + 1, k0 + T + 1)[:, None])
+        yield _Chunk(slice(k0, k0 + T), xs, x_hats[:, :, :, 0], us, y_bars[:, :, :, 0],
+                     incremental_cost(xs, us, model.Q, model.R))
 
 
 def run_simulation(model, agents, horizon, seed, synthesis):
@@ -436,19 +434,24 @@ def run_simulation(model, agents, horizon, seed, synthesis):
     SimulationTrace; identical inputs produce bit-identical traces. The run
     is a lockstep batch of one (_lockstep). Agents not laid out as the
     model's (n_i, m_i) blocks, a horizon or seed that is not an integer
-    >= 0, and an L or Kalman gain not shaped for the model raise ValueError.
+    >= 0, an L or Kalman gain not shaped for the model, and a horizon whose
+    trace memory cannot be allocated raise ValueError.
     """
     agents, L, sigmas, gains = _check_batch(model, agents, horizon, [seed], synthesis.L,
                                             [model.sigmas], [synthesis.kalman_gain])
     n, m = model.n, model.m
-    rows = {"x": np.empty((horizon, n)), "x_hat": np.empty((horizon, n)),
-            "u": np.empty((horizon, m)), "y_bar": np.empty((horizon, n)),
-            "stage_cost": np.empty(horizon), "avg_cost": np.empty(horizon)}
+    try:
+        rows = {"x": np.empty((horizon, n)), "x_hat": np.empty((horizon, n)),
+                "u": np.empty((horizon, m)), "y_bar": np.empty((horizon, n)),
+                "stage_cost": np.empty(horizon)}
+    except MemoryError:
+        raise ValueError(f"a trace of horizon {horizon} does not fit in memory") from None
     for chunk in _lockstep(model, agents, horizon, seed, L, sigmas, gains):
         for name, out in rows.items():
             out[chunk.steps] = getattr(chunk, name)[:, 0]
     return SimulationTrace(
-        **rows, x_hat0=np.concatenate([ag.x0_mean for ag in agents]),
+        **rows, avg_cost=np.cumsum(rows["stage_cost"]) / np.arange(1, horizon + 1),
+        x_hat0=np.concatenate([ag.x0_mean for ag in agents]),
         state_dims=model.state_dims, input_dims=model.input_dims,
     )
 
@@ -461,15 +464,18 @@ def average_costs(model, agents, horizon, seeds, L, sigmas, gains):
     applies the gains L and gains[j]. Each seed is one lockstep batch, which
     steps the model and draws its noise once; agents give only their
     initial states. Inputs are checked as run_simulation checks them, and
-    sigmas must give one row of N finite scales >= 0 per gain. A horizon
-    of 0 gives NaN, the mean of no stage costs.
+    sigmas must give one row of N finite scales >= 0 per gain. Each run's
+    sum of stage costs is carried from chunk to chunk, np.cumsum seeded
+    with it, and divided by the horizon: 0 gives NaN, the mean of no costs.
     """
     agents, L, sigmas, gains = _check_batch(model, agents, horizon, seeds, L, sigmas, gains)
     costs = np.full((len(gains), len(seeds)), np.nan)
     for s, seed in enumerate(seeds):
         for chunk in _lockstep(model, agents, horizon, seed, L, sigmas, gains):
-            costs[:, s] = chunk.avg_cost[-1]
-    return costs
+            if chunk.steps.start:
+                chunk.stage_cost[0] += costs[:, s]
+            costs[:, s] = np.cumsum(chunk.stage_cost, axis=0)[-1]
+    return costs / horizon
 
 
 def eavesdropper_view(trace):

@@ -1,9 +1,9 @@
-"""Text output: the one float format and the one CSV row writer.
+"""Text output: the one value format, CSV row writer and key = value writer.
 
 Every float is written as its repr, the shortest text that reads back to
-the same double, so identical results give identical bytes, and every CSV
-row is written through a row template (write_rows): a file's templates
-are its format.
+the same double, so identical results give identical bytes. Every CSV row
+is written through a row template (write_rows), a file's templates being
+its format, and every key = value line by write_kv from its value.
 """
 
 import numpy as np
@@ -11,14 +11,17 @@ import numpy as np
 STEP = -1  # the template cell that a block row's step number fills
 
 
-def fmt(value):
-    """A float's repr; "none", "true"/"false" or ", "-joined for None, a bool, a tuple."""
+def _fmt(value):
+    """A float's repr; "none", "true"/"false", its own text or ", "-joined
+    for None, a bool, an int or a str, a tuple."""
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
     if isinstance(value, tuple):
-        return ", ".join(map(fmt, value))
+        return ", ".join(map(_fmt, value))
     return repr(float(value))
 
 
@@ -57,7 +60,7 @@ def write_matrix(M, path):
         write_rows(fh, [range(M.shape[1])], M)
 
 
-def write_kv(lines, path):
-    """Write key = value lines, each ended by a newline."""
+def write_kv(pairs, path):
+    """Write a key = value line per (key, value) pair, each ended by a newline."""
     with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in pairs)

@@ -89,16 +89,18 @@ def test_entropy_report_scalar_frozen():
     assert_allclose(rep.homogeneous_estimate, 1.2222222222222223, rtol=1e-15)
 
 
-def test_report_kv_lines_format():
+def test_report_kv_pairs_format():
+    # the report gives values, not text: dplqg.output alone formats them
     rep = entropy_bound_report(0.5 * ONE, ONE, ONE, ONE)
-    lines = rep.kv_lines()
-    assert lines[0] == "condition_holds = true"
-    assert any(line.startswith("entropy_bound = ") for line in lines)
-    joined = "\n".join(lines)
-    assert "variance_floor = 1.125" in joined
-    # an inapplicable report writes the verdict and the floors, no cap lines
+    pairs = dict(rep.kv_pairs())
+    assert list(pairs)[:4] == ["condition_holds", "condition_margin", "variance_floor",
+                               "posterior_floor_diag"]
+    assert pairs["condition_holds"] is True
+    assert pairs["variance_floor"] == 1.125
+    assert pairs["entropy_bound"] == rep.entropy_bound
+    # an inapplicable report gives the verdict and the floors, no cap pairs
     rep = entropy_bound_report(2.0 * ONE, ONE, ONE, 100.0 * ONE)
-    assert [line.split(" = ")[0] for line in rep.kv_lines()] == [
+    assert [key for key, _ in rep.kv_pairs()] == [
         "condition_holds", "condition_margin", "variance_floor",
         "posterior_floor_diag",
     ]

@@ -44,6 +44,37 @@ from dplqg.rng import PRIVACY_NOISE, PROCESS_NOISE
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
+# the simulate verb's summary of each shipped config, frozen bytewise
+SIMULATE_SUMMARIES = {
+    "sweep_4agent.json": (
+        b"steps = 2500\n"
+        b"seed = 7\n"
+        b"message_count = 20000\n"
+        b"final_avg_cost = 398.8884326118011\n"
+        b"max_state_norm = 19.864675895122595\n"
+        b"logdet_prediction_cov = 3.546865992051656\n"
+    ),
+    "case_study_2agent.json": (
+        b"steps = 200\n"
+        b"seed = 1\n"
+        b"message_count = 800\n"
+        b"final_avg_cost = 164.84736122920262\n"
+        b"max_state_norm = 24.841093670564444\n"
+        b"logdet_prediction_cov = 6.462095058278662\n"
+    ),
+}
+# the bound verb's report on the shipped config whose cap applies
+SWEEP_BOUND_REPORT = (
+    b"status = applicable\n"
+    b"condition_holds = true\n"
+    b"condition_margin = 0.694124955821533\n"
+    b"variance_floor = 1.0037551153677826\n"
+    b"posterior_floor_diag = " + b", ".join([b"0.5567123325640705"] * 8) + b"\n"
+    b"logdet_covariance = 3.546865992051656\n"
+    b"entropy_bound = 25.37439332623672\n"
+    b"privacy_term = 0.7992498777940371\n"
+    b"homogeneous_estimate = none\n"
+)
 CASE_STUDY_BOUND_REPORT = (
     b"status = inapplicable\n"
     b"condition_holds = false\n"
@@ -325,6 +356,22 @@ def test_cli_synthesize_summary_of_shipped_configs(tmp_path, name):
     assert (out / "synthesis_summary.txt").read_bytes() == SYNTHESIS_SUMMARIES[name]
 
 
+@pytest.mark.parametrize("name", sorted(SIMULATE_SUMMARIES))
+def test_cli_simulate_summary_of_shipped_configs(tmp_path, name):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(CONFIG_DIR / name), "--out", str(out)]) == 0
+    assert (out / "simulate_summary.txt").read_bytes() == SIMULATE_SUMMARIES[name]
+
+
+def test_cli_simulate_horizon_beyond_memory_exits_2(tmp_path, capsys):
+    # 10**17 steps fit np.intp, but no machine holds their trace: the
+    # allocation fails at once and the verb exits 2 naming the horizon
+    assert main(["simulate", "--config", str(CONFIG_DIR / "sweep_4agent.json"),
+                 "--steps", str(10**17), "--out", str(tmp_path / "out")]) == 2
+    assert re.search(r"^error: .*horizon 100000000000000000\b", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_cli_simulate_trace_and_summary(tmp_path):
     cfg_path = _write_config(tmp_path, _config_dict())
     out = tmp_path / "sim"
@@ -589,6 +636,12 @@ def test_cli_bound_applicable_and_not(tmp_path):
     case_study = str(CONFIG_DIR / "case_study_2agent.json")
     assert main(["bound", "--config", case_study, "--out", str(out3)]) == 5
     assert (out3 / "bound_report.txt").read_bytes() == CASE_STUDY_BOUND_REPORT
+
+    # the shipped sweep config's cap applies; its report, cap lines included
+    out4 = tmp_path / "bnd4"
+    sweep = str(CONFIG_DIR / "sweep_4agent.json")
+    assert main(["bound", "--config", sweep, "--out", str(out4)]) == 0
+    assert (out4 / "bound_report.txt").read_bytes() == SWEEP_BOUND_REPORT
 
 
 def _run_cli_module(argv, cwd, timeout):

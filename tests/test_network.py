@@ -282,9 +282,8 @@ def test_trace_shapes_and_cost_bookkeeping():
     for k in [0, 7, T - 1]:
         expected = trace.x[k] @ model.Q @ trace.x[k] + trace.u[k] @ model.R @ trace.u[k]
         assert_allclose(trace.stage_cost[k], expected, rtol=1e-12)
-    assert_allclose(
-        trace.avg_cost, np.cumsum(trace.stage_cost) / np.arange(1, T + 1), rtol=1e-14
-    )
+    # the trace makes its running mean from its stage costs, bit for bit
+    assert np.array_equal(trace.avg_cost, np.cumsum(trace.stage_cost) / np.arange(1, T + 1))
 
 
 def test_estimator_used_for_u_is_the_logged_estimate():
@@ -296,6 +295,29 @@ def test_estimator_used_for_u_is_the_logged_estimate():
     # step 0 uses the public prior, measurements start updating at step 1
     assert np.array_equal(trace.x_hat[0], trace.x_hat0)
     assert not np.array_equal(trace.x_hat[1], trace.x_hat0)
+
+
+def test_network_model_checks_its_noise_scales():
+    # one finite scale >= 0 per agent, kept as floats, or a ValueError
+    # naming sigmas before any solve or run reads them
+    config = Path(__file__).resolve().parents[1] / "configs" / "sweep_4agent.json"
+    model, _ = build_network(load(config))
+    sigmas = replace(model, sigmas=(1, 0, np.float64(2), 3)).sigmas
+    assert sigmas == (1.0, 0.0, 2.0, 3.0) and {type(s) for s in sigmas} == {float}
+    for sigmas, match in (((-1.0,) * 4, "sigmas must be >= 0 and finite, got -1.0"),
+                          ((math.inf,) * 4, "sigmas must be >= 0 and finite"),
+                          ((1.0,) * 3, "sigmas must be 4 noise scales, got 3"),
+                          (("1",) * 4, "sigmas must be a real number")):
+        with pytest.raises(ValueError, match=match):
+            replace(model, sigmas=sigmas)
+
+
+def test_a_trace_beyond_memory_names_the_horizon():
+    # the trace rows of 10**17 steps cannot be allocated; the malloc fails
+    # at once, before any step, and the error names the horizon
+    model, agents = _two_agent_setup()
+    with pytest.raises(ValueError, match="horizon 100000000000000000 does not fit"):
+        run_simulation(model, agents, 10**17, 0, synthesis=synthesize(model))
 
 
 def test_horizon_zero_and_agent_mismatch():
@@ -787,8 +809,10 @@ def test_whole_horizon_draws_match_per_step_oracle(net, horizon, seed):
 def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed, other_seed):
     # A batch of runs that share one seed, each at its own epsilon and so
     # with its own sigma and Kalman gain, must give every run the bits of
-    # that run alone, across chunk boundaries too. average_costs runs one
-    # such batch per seed, in the order given, and keeps each run's final
+    # that run alone, across chunk boundaries too. The chunks carry no
+    # cost sums: run_simulation's running mean has the oracle's bits, and
+    # average_costs, which runs one such batch per seed in the order given
+    # and sums each run's stage costs itself, keeps each run's final
     # average cost with the bits of run_simulation's.
     model, agents = net
     members = []
@@ -807,11 +831,13 @@ def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed, ot
     for j, (run_model, run_agents, syn) in enumerate(members):
         expected = _reference_simulation(run_model, run_agents, horizon, seed, syn)
         for name, value in expected.items():
-            if name != "x_hat0":
+            if name not in ("x_hat0", "avg_cost"):
                 rows = [getattr(c, name)[:, j] for c in chunks]
                 got = np.concatenate(rows) if rows else value[:0]
                 assert np.array_equal(got, value), (j, name)
         if horizon:
+            trace = run_simulation(run_model, run_agents, horizon, seed, synthesis=syn)
+            assert np.array_equal(trace.avg_cost, expected["avg_cost"]), j
             other = run_simulation(run_model, run_agents, horizon, other_seed, synthesis=syn)
             assert np.array_equal(costs[j], [expected["avg_cost"][-1],
                                              other.avg_cost[-1]]), j
