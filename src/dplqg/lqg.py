@@ -54,7 +54,9 @@ def filter_step(A, B, C, gain, x_hat, u, y_bar_next):
     x_hat is the estimate at step k, u the input sent at step k and
     y_bar_next the privatized measurement ybar(k+1); gain is
     FilterSynthesis.kalman_gain. Returns the estimate at step k+1. The
-    cloud and the eavesdropper's replay both run exactly this arithmetic.
+    cloud runs exactly this arithmetic, and it is the reference that the
+    eavesdropper's replay (dplqg.network.replay_estimates), which runs the
+    same products and sums in place, is tested against bit for bit.
     """
     predicted = A @ x_hat + B @ u
     return predicted + gain @ (y_bar_next - C @ predicted)

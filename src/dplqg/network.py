@@ -24,8 +24,10 @@ eavesdropper knows exactly that log: true states, process noise, and the
 cost matrices Q and R never appear in it. replay_estimates shows what the
 log leaks: the cloud's entire estimate sequence is reconstructible from
 public model data plus the log, since the replay runs the cloud's own
-update (dplqg.lqg.filter_step). Simulations are bit-reproducible for a
-given master seed (see dplqg.rng for the stream discipline).
+update (dplqg.lqg.filter_step) with the same products and sums in the same
+order, and is tested against it bit for bit. Simulations are
+bit-reproducible for a given master seed (see dplqg.rng for the stream
+discipline).
 
 Runs advance in lockstep batches: S runs that share the model, the agents,
 the seed and the control gain L, and differ only in their noise scales
@@ -39,7 +41,12 @@ reasons:
   (S, n, n), or, for a run of consecutive agents of equal (n_i, m_i), their
   stacked (G, n_i, n_i) blocks in NetworkModel.stacks. A stacked matmul
   runs each column through the same matrix-vector kernel as C_i @ x_i of
-  one agent in one run. A block-diagonal A @ x over the whole state,
+  one agent in one run, so one product of the group's stacked [C_g; A_g]
+  gives C_g x and A_g x of every run in one call, each block its own
+  matrix-vector product. The replay likewise forms every B u(k) of the log
+  in one stacked matmul and its other products with ndarray.dot, which
+  calls the same BLAS matrix-vector routine as the cloud's np.matmul on
+  C-contiguous matrices. A block-diagonal A @ x over the whole state,
   Z @ F^T over the rows, or one matrix-matrix product over the S runs sums
   in another order and moves the last bits, so none is used;
 * chunked row draws that continue the stream: the horizon runs in chunks of
@@ -157,6 +164,8 @@ class NetworkModel:
     sigmas: tuple
 
     def __post_init__(self):
+        if not np.iterable(self.sigmas):
+            raise ValueError(f"sigmas must be {self.n_agents} noise scales, got {self.sigmas!r}")
         sigmas = tuple(check_positive(s, "sigmas", allow_zero=True) for s in self.sigmas)
         if len(sigmas) != self.n_agents:
             raise ValueError(f"sigmas must be {self.n_agents} noise scales, got {len(sigmas)}")
@@ -396,19 +405,21 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
             z_w = process[i].standard_normal_rows(T, n_i)
             w[:, S[i]] = np.matmul(factors[i], z_w[:, :, None])
         v = scale * z
-        # row T of xs receives the state the next chunk starts from
-        xs = np.empty((T + 1, n_runs, n, 1))
+        # yx[k] holds y(k - 1) over x(k), which step k - 1's product of a
+        # group's stacked [C_g; A_g] writes; row T's x starts the next chunk
+        yx = np.empty((T + 1, 2, n_runs, n, 1))
+        xs, y_bars = yx[:, 1], yx[1:, 0]
         xs[0] = x
-        x_hats, y_bars = np.empty((T, n_runs, n, 1)), np.empty((T, n_runs, n, 1))
-        us = np.empty((T, n_runs, m, 1))
-        views = [(A_g, B_g, C_g,
-                  xs[:, :, s].reshape(T + 1, n_runs, G, n_g, 1),
-                  y_bars[:, :, s].reshape(T, n_runs, G, n_g, 1),
-                  us[:, :, t].reshape(T, n_runs, G, m_g, 1))
+        x_hats, us = np.empty((T, n_runs, n, 1)), np.empty((T, n_runs, m, 1))
+        Bu = np.empty((n_runs, n, 1))
+        views = [(np.stack((C_g, A_g))[:, None], B_g,
+                  yx[:, :, :, s].reshape(T + 1, 2, n_runs, G, n_g, 1),
+                  us[:, :, t].reshape(T, n_runs, G, m_g, 1),
+                  Bu[:, s].reshape(n_runs, G, n_g, 1))
                  for s, t, G, n_g, m_g, A_g, B_g, C_g in model.stacks]
         for k in range(T):
-            for _, _, C_g, x_g, y_g, _ in views:
-                np.matmul(C_g, x_g[k], out=y_g[k])
+            for CA_g, _, yx_g, _, _ in views:
+                np.matmul(CA_g, yx_g[k, 1], out=yx_g[k + 1])
             y_bar = y_bars[k]
             y_bar += v[k]
             if k0 + k:
@@ -416,9 +427,11 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
             x_hats[k] = x_hat
             u = us[k]
             np.matmul(L, x_hat, out=u)
-            for A_g, B_g, _, x_g, _, u_g in views:
-                np.add(A_g @ x_g[k], B_g @ u_g[k], out=x_g[k + 1])
-            xs[k + 1] += w[k]
+            for _, B_g, _, u_g, Bu_g in views:
+                np.matmul(B_g, u_g[k], out=Bu_g)
+            x_next = xs[k + 1]
+            x_next += Bu
+            x_next += w[k]
         x = xs[T]
         xs, us = xs[:T, :, :, 0], us[:, :, :, 0]
         yield _Chunk(slice(k0, k0 + T), xs, x_hats[:, :, :, 0], us, y_bars[:, :, :, 0],
@@ -490,24 +503,33 @@ def replay_estimates(log, model, filter_synthesis, x_hat0):
     trace.messages, or the published messages.csv as read_messages_csv
     parses it. Needs only public information: the model matrices (A, B, C),
     the filter gain (derivable from A, C, W, V without the secret Q and R),
-    the public prior, and the log. The replay runs the cloud's own
-    filter_step, so the result matches the cloud's xhat sequence bit for
-    bit. Returns a (T, n) array. A log of other agent dimensions, or an
-    x_hat0 that is not a finite vector of shape (n,), raises ValueError.
+    the public prior, and the log. The replay runs dplqg.lqg.filter_step's
+    products and sums in its order, writing each estimate into its row of
+    the result, so the result matches the cloud's xhat sequence bit for
+    bit; filter_step is the reference it is tested against. Returns a
+    (T, n) array. A log of other agent dimensions, or an x_hat0 that is
+    not a finite vector of shape (n,), raises ValueError.
     """
     if (log.state_dims, log.input_dims) != (model.state_dims, model.input_dims):
         raise ValueError("the wire log's agent dimensions do not match the model")
     A, B, C = model.A, model.B, model.C
-    gain = filter_synthesis.kalman_gain
+    gain = np.ascontiguousarray(filter_synthesis.kalman_gain, dtype=float)
     x_hat = np.asarray(x_hat0, dtype=float)
     if x_hat.shape != (model.n,):
         raise ValueError(f"x_hat0 must have shape ({model.n},), got {x_hat.shape}")
     check_finite(x_hat, "x_hat0")
     out = np.empty((log.horizon, model.n))
-    for k in range(log.horizon):
-        if k > 0:
-            x_hat = filter_step(A, B, C, gain, x_hat, log.u[k - 1], log.y_bar[k])
-        out[k] = x_hat
+    out[:1] = x_hat
+    # filter_step in its order, each estimate written into its row of out
+    Bu = np.matmul(B, log.u[:-1, :, None])[:, :, 0]
+    predicted, residual = np.empty(model.n), np.empty(model.n)
+    for x_hat, x_next, Bu_k, y_next in zip(out, out[1:], Bu, log.y_bar[1:]):
+        A.dot(x_hat, out=predicted)
+        predicted += Bu_k
+        C.dot(predicted, out=residual)
+        np.subtract(y_next, residual, out=residual)
+        gain.dot(residual, out=x_next)
+        x_next += predicted
     return out
 
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,6 +308,8 @@ def test_network_model_checks_its_noise_scales():
     for sigmas, match in (((-1.0,) * 4, "sigmas must be >= 0 and finite, got -1.0"),
                           ((math.inf,) * 4, "sigmas must be >= 0 and finite"),
                           ((1.0,) * 3, "sigmas must be 4 noise scales, got 3"),
+                          (1.0, "sigmas must be 4 noise scales, got 1.0"),
+                          (None, "sigmas must be 4 noise scales, got None"),
                           (("1",) * 4, "sigmas must be a real number")):
         with pytest.raises(ValueError, match=match):
             replace(model, sigmas=sigmas)
@@ -461,6 +464,26 @@ def test_replay_reconstructs_estimates_bit_for_bit():
     replayed = replay_estimates(log, model, syn.filter, trace.x_hat0)
     assert replayed.shape == trace.x_hat.shape
     assert np.array_equal(replayed, trace.x_hat)
+    # a Fortran-ordered gain holds the same numbers; the cloud's bits stay
+    fortran = replace(syn.filter, kalman_gain=np.asfortranarray(syn.kalman_gain))
+    assert np.array_equal(replay_estimates(log, model, fortran, trace.x_hat0), trace.x_hat)
+
+
+def test_replay_memory_is_bounded_by_its_output():
+    # the replay keeps its output, the stacked B u(k) and two scratch
+    # vectors; a list of row views over the whole horizon would not fit
+    config = Path(__file__).resolve().parents[1] / "configs" / "case_study_2agent.json"
+    model, agents = build_network(load(config))
+    syn = synthesize(model)
+    trace = run_simulation(model, agents, horizon=20_000, seed=1, synthesis=syn)
+    tracemalloc.start()
+    try:
+        replayed = replay_estimates(trace.messages, model, syn.filter, trace.x_hat0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(replayed, trace.x_hat)
+    assert peak < 3 * replayed.nbytes + 64 * 1024, peak
 
 
 def test_replay_empty_log(tmp_path):
@@ -777,18 +800,22 @@ def _interleaved_network():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(net=_noisy_networks(), horizon=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
 @example(net=_interleaved_network(), horizon=25, seed=9)
+@example(net=_interleaved_network(), horizon=1, seed=9)
 def test_whole_horizon_draws_match_per_step_oracle(net, horizon, seed):
     # Drawing each stream in chunks and stepping each run of consecutive
     # like agents as one stacked product must not move a single bit of the
     # trace: odd agent dimensions (a discarded Box-Muller half), like
     # agents apart in the state vector, a dense C and a Q and R that couple
-    # the agents included.
+    # the agents included. The eavesdropper's replay of the log, whose
+    # stacked B u(k) has no rows at horizon 1, has the estimates' bits.
     model, agents = net
     syn = synthesize(model)
     trace = run_simulation(model, agents, horizon, seed, synthesis=syn)
     expected = _reference_simulation(model, agents, horizon, seed, syn)
     for name, value in expected.items():
         assert np.array_equal(getattr(trace, name), value), name
+    replayed = replay_estimates(trace.messages, model, syn.filter, trace.x_hat0)
+    assert np.array_equal(replayed, trace.x_hat)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
