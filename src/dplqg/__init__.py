@@ -3,9 +3,9 @@
 Agents stream differentially private measurements to an untrusted cloud,
 which runs a stationary Kalman filter and certainty-equivalent LQ feedback.
 The package covers the full loop: noise calibration from (epsilon, delta)
-privacy budgets, Riccati synthesis, bit-reproducible networked simulation
-with a complete wire log, and closed-form bounds on how much (or little) an
-eavesdropper's state estimate can sharpen.
+privacy budgets, Riccati synthesis, networked simulation that reruns bit
+for bit on one host, with a complete wire log, and closed-form bounds on
+how much (or little) an eavesdropper's state estimate can sharpen.
 """
 
 from .bounds import (

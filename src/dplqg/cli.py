@@ -18,9 +18,9 @@ under the config's own checks, before any verb runs: every verb reads that
 one config, as if the config file held those values.
 
 All outputs are deterministic for a given config and seed: rerunning a verb
-with the same inputs rewrites byte-identical files. This module holds the
-verbs, the argument parser and the exit codes; the files are written in
-the one text format of dplqg.output.
+with the same inputs on one host rewrites byte-identical files. This module
+holds the verbs, the argument parser and the exit codes; the files are
+written in the one text format of dplqg.output.
 """
 
 import argparse
@@ -102,9 +102,10 @@ def sweep_epsilon(cfg, grid, n_seeds):
     also serves its entropy report. The cost matrices are resolved once,
     the noise streams do not depend on epsilon, and seeds run from the
     master seed upward, so rows are directly comparable. The final average
-    costs come from dplqg.network.average_costs, which runs the whole grid
-    as one lockstep batch per seed; mean_cost is their mean over the seeds,
-    with the bits of one run_simulation per (epsilon, seed).
+    costs come from dplqg.network.average_costs, which runs the grid's
+    (model, filter) pairs as one lockstep batch per seed, one 256-step
+    chunk at a time with no horizon cap; mean_cost is their mean over the
+    seeds, with the bits of one run_simulation per (epsilon, seed).
     Each row is a dict with keys epsilon, sigma, mean_cost, logdet_cov,
     entropy_bound, condition_margin.
     """
@@ -123,14 +124,12 @@ def sweep_epsilon(cfg, grid, n_seeds):
         model = replace(base, sigmas=tuple(
             calibrate_sigma(replace(ag.privacy, epsilon=eps), ag.C)
             for ag in cfg.agents))
-        filt = solve_dare_filter(model.A, model.C, model.W, model.V)
-        report = entropy_bound_report(model.A, model.W, model.C, model.V,
+        filt = solve_dare_filter(base.A, base.C, base.W, model.V)
+        report = entropy_bound_report(base.A, base.W, base.C, model.V,
                                       Sigma=filt.Sigma)
         members.append((eps, model, filt, report))
-    costs = average_costs(base, cfg.agents, cfg.horizon,
-                          range(cfg.seed, cfg.seed + n_seeds), control.L,
-                          [model.sigmas for _, model, _, _ in members],
-                          [filt.kalman_gain for _, _, filt, _ in members])
+    costs = average_costs([(model, filt) for _, model, filt, _ in members], cfg.agents,
+                          cfg.horizon, range(cfg.seed, cfg.seed + n_seeds), control)
     return [
         {
             "epsilon": eps,

@@ -25,12 +25,12 @@ cost matrices Q and R never appear in it. replay_estimates shows what the
 log leaks: the cloud's entire estimate sequence is reconstructible from
 public model data plus the log, since the replay runs the cloud's own
 update (dplqg.lqg.filter_step) with the same products and sums in the same
-order, and is tested against it bit for bit. Simulations are
-bit-reproducible for a given master seed (see dplqg.rng for the stream
-discipline).
+order, and is tested against it bit for bit. Reruns under one master seed
+are bit-identical on one host (see dplqg.rng for the stream discipline).
 
-Runs advance in lockstep batches: S runs that share the model, the agents,
-the seed and the control gain L, and differ only in their noise scales
+Runs advance in lockstep batches of S (model, filter record) pairs whose
+models re-noise one model, replace(model, sigmas=...): they share its
+blocks, the agents, the seed and one control record's L, and differ only in
 sigma_i and Kalman gain. run_simulation is a batch of one, and
 average_costs, which the epsilon sweep (dplqg.cli.sweep_epsilon) calls, one
 batch per seed over its grid. The batch keeps every run's bits, for three
@@ -321,24 +321,30 @@ class _Chunk(NamedTuple):
     stage_cost: np.ndarray
 
 
-def _floats(value, name, rule):
-    """value as a float array; ValueError naming it when its rows are
-    ragged or not numbers."""
-    try:
-        return np.asarray(value, dtype=float)
-    except ValueError:
-        raise ValueError(f"{name} must be {rule}, got rows that are ragged "
-                         "or not numbers") from None
+def _gain(gain, n):
+    """A Kalman gain as a C-contiguous float array, once its shape is (n, n)."""
+    gain = np.ascontiguousarray(gain, dtype=float)
+    if gain.shape != (n, n):
+        raise ValueError(f"gains must be Kalman gains of shape ({n}, {n}), got {gain.shape}")
+    return gain
 
 
-def _check_batch(model, agents, horizon, seeds, L, sigmas, gains):
-    """The agents as a list and L, sigmas and gains as float arrays, once
-    checked: the model's count of agents, each laid out as its (n_i, m_i)
-    blocks; a horizon and seeds that are integers >= 0, the horizon at most
-    np.intp's maximum, which no array length exceeds; L of shape (m, n),
-    gains of shape (n, n), and per gain one row of the model's N noise
-    scales, each finite and >= 0. ValueError names the agent or argument."""
+def _check_batch(runs, agents, horizon, seeds, control):
+    """The first run's model, the agents as a list, and L, the runs' sigmas
+    and gains as float arrays, once checked: runs whose models share the
+    first's blocks, Q and R objects, which the engine steps for every run;
+    the model's count of agents, each laid out as its (n_i, m_i) blocks; a
+    horizon and seeds that are integers >= 0, the horizon at most np.intp's
+    maximum, which no array length exceeds; L of shape (m, n) and gains of
+    shape (n, n). ValueError names the run, agent or argument."""
+    runs = list(runs)
+    if not runs:
+        raise ValueError("at least one run is required")
+    model = runs[0][0]
     n, m, N = model.n, model.m, model.n_agents
+    for j, (other, _) in enumerate(runs):
+        if any(getattr(other, k) is not getattr(model, k) for k in ("blocks", "Q", "R")):
+            raise ValueError(f"runs[{j}] must re-noise runs[0]'s model, not another model")
     agents = list(agents)
     if len(agents) != N:
         raise ValueError(f"model was assembled for {N} agents, got {len(agents)}")
@@ -350,20 +356,11 @@ def _check_batch(model, agents, horizon, seeds, L, sigmas, gains):
         raise ValueError(f"horizon must be at most {np.iinfo(np.intp).max}")
     for seed in seeds:
         check_count(seed, "seed")
-    sigmas = _floats(sigmas, "sigmas", f"one row of {N} noise scales per gain")
-    L = _floats(L, "L", f"a matrix of shape ({m}, {n})")
-    gains = _floats(gains, "gains", f"Kalman gains of shape ({n}, {n})")
+    L = np.asarray(control.L, dtype=float)
     if L.shape != (m, n):
         raise ValueError(f"L must have shape ({m}, {n}), got {L.shape}")
-    if gains.ndim != 3 or gains.shape[1:] != (n, n):
-        raise ValueError(f"gains must be Kalman gains of shape ({n}, {n}), "
-                         f"got an array of shape {gains.shape}")
-    if sigmas.shape != (len(gains), N):
-        raise ValueError(f"sigmas must be one row of {N} noise scales per gain, "
-                         f"got shape {sigmas.shape} for {len(gains)} gains")
-    for sigma in sigmas.flat:
-        check_positive(sigma, "sigmas", allow_zero=True)
-    return agents, L, sigmas, gains
+    gains = np.array([_gain(filt.kalman_gain, n) for _, filt in runs])
+    return model, agents, L, np.array([other.sigmas for other, _ in runs]), gains
 
 
 def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
@@ -445,13 +442,13 @@ def run_simulation(model, agents, horizon, seed, synthesis):
     states. synthesis is the model's SynthesisResult (dplqg.lqg.synthesize),
     whose gains L and Kalman gain the cloud applies. Returns a
     SimulationTrace; identical inputs produce bit-identical traces. The run
-    is a lockstep batch of one (_lockstep). Agents not laid out as the
-    model's (n_i, m_i) blocks, a horizon or seed that is not an integer
-    >= 0, an L or Kalman gain not shaped for the model, and a horizon whose
-    trace memory cannot be allocated raise ValueError.
+    is the lockstep batch [(model, synthesis)] under synthesis. Agents not
+    laid out as the model's (n_i, m_i) blocks, a horizon or seed that is not
+    an integer >= 0, an L or Kalman gain not shaped for the model, and a
+    horizon whose trace memory cannot be allocated raise ValueError.
     """
-    agents, L, sigmas, gains = _check_batch(model, agents, horizon, [seed], synthesis.L,
-                                            [model.sigmas], [synthesis.kalman_gain])
+    model, agents, L, sigmas, gains = _check_batch([(model, synthesis)], agents, horizon,
+                                                   [seed], synthesis)
     n, m = model.n, model.m
     try:
         rows = {"x": np.empty((horizon, n)), "x_hat": np.empty((horizon, n)),
@@ -469,19 +466,21 @@ def run_simulation(model, agents, horizon, seed, synthesis):
     )
 
 
-def average_costs(model, agents, horizon, seeds, L, sigmas, gains):
+def average_costs(runs, agents, horizon, seeds, control):
     """The (S, len(seeds)) final average costs of S runs per master seed.
 
-    Entry [j, s] has the bits of run_simulation(...).avg_cost[-1] under
-    seeds[s] for run j, which publishes with noise scales sigmas[j] and
-    applies the gains L and gains[j]. Each seed is one lockstep batch, which
-    steps the model and draws its noise once; agents give only their
-    initial states. Inputs are checked as run_simulation checks them, and
-    sigmas must give one row of N finite scales >= 0 per gain. Each run's
+    Run j is a pair (model, FilterSynthesis) whose model re-noises the first
+    run's, replace(model, sigmas=...), and every run applies the
+    ControlSynthesis control's L. Entry [j, s] has the bits of
+    run_simulation(...).avg_cost[-1] for run j under seeds[s]. Each seed is
+    one lockstep batch, which steps the model and draws its noise once;
+    agents give only their initial states. Inputs are checked as
+    run_simulation checks them, and a model with other blocks, Q or R
+    objects than the first's raises ValueError naming its run. Each run's
     sum of stage costs is carried from chunk to chunk, np.cumsum seeded
     with it, and divided by the horizon: 0 gives NaN, the mean of no costs.
     """
-    agents, L, sigmas, gains = _check_batch(model, agents, horizon, seeds, L, sigmas, gains)
+    model, agents, L, sigmas, gains = _check_batch(runs, agents, horizon, seeds, control)
     costs = np.full((len(gains), len(seeds)), np.nan)
     for s, seed in enumerate(seeds):
         for chunk in _lockstep(model, agents, horizon, seed, L, sigmas, gains):
@@ -507,13 +506,14 @@ def replay_estimates(log, model, filter_synthesis, x_hat0):
     products and sums in its order, writing each estimate into its row of
     the result, so the result matches the cloud's xhat sequence bit for
     bit; filter_step is the reference it is tested against. Returns a
-    (T, n) array. A log of other agent dimensions, or an x_hat0 that is
-    not a finite vector of shape (n,), raises ValueError.
+    (T, n) array. A log of other agent dimensions, a Kalman gain not of
+    shape (n, n), or an x_hat0 that is not a finite vector of shape (n,),
+    raises ValueError.
     """
     if (log.state_dims, log.input_dims) != (model.state_dims, model.input_dims):
         raise ValueError("the wire log's agent dimensions do not match the model")
     A, B, C = model.A, model.B, model.C
-    gain = np.ascontiguousarray(filter_synthesis.kalman_gain, dtype=float)
+    gain = _gain(filter_synthesis.kalman_gain, model.n)
     x_hat = np.asarray(x_hat0, dtype=float)
     if x_hat.shape != (model.n,):
         raise ValueError(f"x_hat0 must have shape ({model.n},), got {x_hat.shape}")

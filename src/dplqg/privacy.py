@@ -18,8 +18,8 @@ sensitivity per unit of trajectory perturbation) and
 
 with Q the standard Gaussian upper-tail probability. The implementation of Q
 is self-contained (series plus continued fraction, documented at the private
-helpers) so that calibration is reproducible bit for bit wherever the package
-runs; tests cross-check it against independent oracles.
+helpers), so calibration needs no scipy and reruns bit for bit on one host
+(see dplqg.rng); tests cross-check it against independent oracles.
 
 The mechanism itself, ybar = C x + sigma z with z standard normal, is
 applied in one place: the simulation engine, dplqg.network.

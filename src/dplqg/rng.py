@@ -2,13 +2,13 @@
 
 Reproducibility contract
 ------------------------
-Simulated traces must be bit-identical for a given master seed, across runs
-and across platforms. numpy's default normal() uses the ziggurat algorithm,
-whose output is an implementation detail, so Gaussians here are produced by
-an explicit Box-Muller transform applied to uniforms from the Philox
-counter-based bit generator. Both pieces are published algorithms with fixed
-output, which keeps the stream portable to other languages if a twin
-implementation ever needs to match draws.
+Reruns under one master seed are bit-identical on one host: one numpy
+build, OpenBLAS kernel and set of numpy's SIMD targets, which pick the log
+and exp loops Box-Muller calls. Other hosts agree to ~1e-15 relative.
+numpy's default normal() uses the ziggurat algorithm, whose output is an
+implementation detail, so Gaussians here are produced by an explicit
+Box-Muller transform applied to uniforms from the Philox counter-based bit
+generator, two published algorithms with fixed output.
 
 Per-entity streams are derived from the master seed with
 ``SeedSequence((master_seed, entity_index, stream_kind))``. The stream kinds

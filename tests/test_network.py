@@ -307,6 +307,7 @@ def test_network_model_checks_its_noise_scales():
     assert sigmas == (1.0, 0.0, 2.0, 3.0) and {type(s) for s in sigmas} == {float}
     for sigmas, match in (((-1.0,) * 4, "sigmas must be >= 0 and finite, got -1.0"),
                           ((math.inf,) * 4, "sigmas must be >= 0 and finite"),
+                          ((1.0, math.nan, 1.0, 1.0), "sigmas must be >= 0 and finite"),
                           ((1.0,) * 3, "sigmas must be 4 noise scales, got 3"),
                           (1.0, "sigmas must be 4 noise scales, got 1.0"),
                           (None, "sigmas must be 4 noise scales, got None"),
@@ -333,9 +334,8 @@ def test_horizon_zero_and_agent_mismatch():
     def single(agents, horizon, seed, synthesis=syn):
         return run_simulation(model, agents, horizon, seed, synthesis=synthesis)
 
-    def batch(agents, horizon, seed, L=syn.L, sigmas=(model.sigmas,),
-              gains=(syn.kalman_gain,)):  # checked as run_simulation checks
-        return average_costs(model, agents, horizon, [7, seed], L, sigmas, gains)
+    def batch(agents, horizon, seed, runs=((model, syn),), control=syn):
+        return average_costs(runs, agents, horizon, [7, seed], control)
 
     # a horizon of 0 has no stage costs to average
     assert np.isnan(batch(agents, 0, 1)).all()
@@ -357,29 +357,40 @@ def test_horizon_zero_and_agent_mismatch():
         for other in (three_states, two_inputs):
             with pytest.raises(ValueError, match="agent 1 has"):
                 run([agents[0], other], 5, 1)
-    # gains and noise scales of other shapes, or scales that are not finite
-    # and >= 0, are named, not broadcast
+    # a control or Kalman gain of another shape is named, not broadcast
     scalars = assemble_network([_scalar_agent()] * 4, Q=np.eye(4), R=np.eye(4))
     for synthesis, name in ((synthesize(scalars), "L"),
                             (replace(syn, kalman_gain=syn.kalman_gain[:2, :2]), "gains")):
         with pytest.raises(ValueError, match=f"^{name} must"):
             single(agents, 5, 1, synthesis)
-    gain = syn.kalman_gain
-    for bad, name in (({"L": syn.L.T}, "L"), ({"gains": [gain[:2, :2]]}, "gains"),
-                      ({"gains": gain}, "gains"), ({"gains": [gain] * 3}, "sigmas"),
-                      ({"sigmas": [model.sigmas] * 2, "gains": [gain, gain[:2, :2]]},
-                       "gains"),
-                      ({"L": [[1.0, 2.0], [1.0]]}, "L"),
-                      ({"sigmas": [model.sigmas] * 2, "gains": [gain] * 3}, "sigmas"),
-                      ({"sigmas": [model.sigmas + (1.0,)]}, "sigmas"),
-                      ({"sigmas": [(1.0, 2.0), (1.0,)], "gains": [gain] * 2}, "sigmas"),
-                      ({"sigmas": [(-1.0, 1.0)]}, "sigmas"),
-                      ({"sigmas": [(1.0, np.nan)]}, "sigmas"),
-                      ({"sigmas": [(np.inf, 1.0)]}, "sigmas")):
+
+
+def test_a_batch_takes_re_noisings_of_one_model():
+    # Every run of a batch steps the first run's blocks under its Q and R,
+    # so a run's model must be a re-noising of that model, not a model of
+    # equal numbers assembled apart; its filter record and the control
+    # must be shaped for the model; and a noise scale of 0 is valid.
+    model, agents = _two_agent_setup()
+    syn = synthesize(model)
+    quiet = replace(model, sigmas=(0.0, 0.0))
+    costs = average_costs([(model, syn), (quiet, syn)], agents, 5, [7, 1], syn)
+    assert costs.shape == (2, 2) and np.isfinite(costs).all()
+    apart = assemble_network(agents, Q=np.eye(4), R=np.eye(2))
+    assert np.array_equal(apart.Q, model.Q) and apart.sigmas == model.sigmas
+    for other in (apart, replace(model, blocks=tuple(list(model.blocks))),
+                  replace(model, Q=model.Q.copy()), replace(model, R=model.R.copy())):
+        with pytest.raises(ValueError, match=re.escape("runs[1] must re-noise runs[0]'s model")):
+            average_costs([(model, syn), (other, syn)], agents, 5, [1], syn)
+    one = synthesize(assemble_network(agents[:1], Q=np.eye(2), R=np.eye(1)))
+    for runs, control, name in (([(model, syn), (quiet, one)], syn, "gains"),
+                                ([(model, replace(syn, kalman_gain=syn.kalman_gain[:, :3]))],
+                                 syn, "gains"),
+                                ([(model, syn)], one, "L"),
+                                ([(model, syn)], replace(syn, L=syn.L.T), "L")):
         with pytest.raises(ValueError, match=f"^{name} must"):
-            batch(agents, 5, 1, **bad)
-    # a noise scale of 0 is valid: the run publishes its measurements as is
-    assert np.isfinite(batch(agents, 5, 1, sigmas=[(0.0, 0.0)])).all()
+            average_costs(runs, agents, 5, [1], control)
+    with pytest.raises(ValueError, match="at least one run"):
+        average_costs([], agents, 5, [1], syn)
 
 
 def test_engine_steps_the_model_not_the_agents_matrices():
@@ -389,15 +400,14 @@ def test_engine_steps_the_model_not_the_agents_matrices():
     model, agents = _two_agent_setup(x0_cov=np.eye(2))
     syn = synthesize(model)
     horizon, seeds = SIM_CHUNK_STEPS + 44, [5, 6]
-    batch = (syn.L, [model.sigmas], [syn.kalman_gain])
     trace = run_simulation(model, agents, horizon, seeds[0], synthesis=syn)
-    costs = average_costs(model, agents, horizon, seeds, *batch)
+    costs = average_costs([(model, syn)], agents, horizon, seeds, syn)
     for name, value in (("A", 2.0 * agents[1].A), ("W", 3.0 * agents[1].W)):
         others = [agents[0], replace(agents[1], **{name: value})]
         other = run_simulation(model, others, horizon, seeds[0], synthesis=syn)
         for field in ("x", "x_hat", "u", "y_bar", "stage_cost", "avg_cost", "x_hat0"):
             assert np.array_equal(getattr(other, field), getattr(trace, field)), (name, field)
-        assert np.array_equal(average_costs(model, others, horizon, seeds, *batch),
+        assert np.array_equal(average_costs([(model, syn)], others, horizon, seeds, syn),
                               costs), name
 
 
@@ -607,6 +617,10 @@ def test_replay_rejects_a_log_of_other_agents():
     other = assemble_network([scalar] * 4, Q=np.eye(4), R=np.eye(4))
     with pytest.raises(ValueError, match="dimensions"):
         replay_estimates(trace.messages, other, syn.filter, trace.x_hat0)
+    # a Kalman gain of another shape is named as run_simulation names it
+    cut = replace(syn.filter, kalman_gain=syn.kalman_gain[:2, :2])
+    with pytest.raises(ValueError, match=re.escape("gains must be Kalman gains of shape (4, 4)")):
+        replay_estimates(trace.messages, model, cut, trace.x_hat0)
 
 
 def test_wire_log_view_indexing():
@@ -846,14 +860,16 @@ def test_lockstep_batch_matches_per_step_oracle(net, epsilons, horizon, seed, ot
     for eps in epsilons:
         run_agents = [replace(ag, privacy=replace(ag.privacy, epsilon=eps))
                       for ag in agents]
-        run_model = assemble_network(run_agents, model.Q, model.R)
+        run_model = replace(model, sigmas=tuple(calibrate_sigma(ag.privacy, ag.C)
+                                                for ag in run_agents))
         members.append((run_model, run_agents, synthesize(run_model)))
-    L = synthesize(model).L
+    control = synthesize(model)
     sigmas = [m.sigmas for m, _, _ in members]
     gains = [syn.kalman_gain for _, _, syn in members]
-    chunks = list(_lockstep(model, agents, horizon, seed, L, sigmas, gains))
+    chunks = list(_lockstep(model, agents, horizon, seed, control.L, sigmas, gains))
     assert [c.steps.start for c in chunks] == list(range(0, horizon, SIM_CHUNK_STEPS))
-    costs = average_costs(model, agents, horizon, [seed, other_seed], L, sigmas, gains)
+    costs = average_costs([(m, syn) for m, _, syn in members], agents, horizon,
+                          [seed, other_seed], control)
     assert costs.shape == (len(epsilons), 2)
     for j, (run_model, run_agents, syn) in enumerate(members):
         expected = _reference_simulation(run_model, run_agents, horizon, seed, syn)
@@ -986,8 +1002,7 @@ def test_average_costs_match_the_exact_stationary_cost():
     # J = tr(M Gamma) is also tr(K W) + tr(L^T (R + B^T K B) L SigmaBar)
     assert_allclose(np.trace(MG), _stationary_cost(model, syn), rtol=1e-9)
     se = math.sqrt(variance / T / seeds)
-    costs = average_costs(model, agents, T, range(cfg.seed, cfg.seed + seeds), L,
-                          [model.sigmas], [gain])
+    costs = average_costs([(model, syn)], agents, T, range(cfg.seed, cfg.seed + seeds), syn)
     assert costs.shape == (1, seeds)
     assert abs(costs.mean() - expected) < 4.0 * se, (costs.mean(), expected, se)
 
