@@ -334,8 +334,8 @@ def test_horizon_zero_and_agent_mismatch():
     def single(agents, horizon, seed, synthesis=syn):
         return run_simulation(model, agents, horizon, seed, synthesis=synthesis)
 
-    def batch(agents, horizon, seed, runs=((model, syn),), control=syn):
-        return average_costs(runs, agents, horizon, [7, seed], control)
+    def batch(agents, horizon, seed):  # checked as run_simulation checks
+        return average_costs([(model, syn)], agents, horizon, [7, seed], syn)
 
     # a horizon of 0 has no stage costs to average
     assert np.isnan(batch(agents, 0, 1)).all()
