@@ -25,18 +25,14 @@ from .errors import (
     ConvergenceError,
     InapplicableBoundError,
 )
-from .lqg import (
-    SynthesisResult,
-    filter_step,
-    incremental_cost,
-    synthesize,
-)
+from .lqg import SynthesisResult, synthesize
 from .network import (
     AgentModel,
     NetworkModel,
     SimulationTrace,
     assemble_network,
     eavesdropper_view,
+    filter_step,
     read_messages_csv,
     replay_estimates,
     run_simulation,
@@ -95,7 +91,6 @@ __all__ = [
     "entropy_bound_report",
     "filter_step",
     "homogeneous_entropy_estimate",
-    "incremental_cost",
     "is_controllable",
     "is_observable",
     "kappa",

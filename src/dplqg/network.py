@@ -24,9 +24,10 @@ eavesdropper knows exactly that log: true states, process noise, and the
 cost matrices Q and R never appear in it. replay_estimates shows what the
 log leaks: the cloud's entire estimate sequence is reconstructible from
 public model data plus the log, since the replay runs the cloud's own
-update (dplqg.lqg.filter_step) with the same products and sums in the same
-order, and is tested against it bit for bit. Reruns under one master seed
-are bit-identical on one host (see dplqg.rng for the stream discipline).
+update (filter_step, defined here beside the engine that runs it) with
+the same products and sums in the same order, and is tested against it bit
+for bit. Reruns under one master seed are bit-identical on one host (see
+dplqg.rng for the stream discipline).
 
 Runs advance in lockstep batches of S (model, filter record) pairs whose
 models re-noise one model, replace(model, sigmas=...): they share its
@@ -61,15 +62,15 @@ reasons:
 """
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, groupby, zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_count, check_finite, check_pair, check_positive, check_spd
-from .lqg import filter_step, incremental_cost
+from .errors import (check_count, check_finite, check_pair, check_positive, check_spd,
+                     check_square)
 from .output import STEP, write_rows
 from .privacy import PrivacySpec, calibrate_sigma
 from .riccati import check_preconditions
@@ -155,7 +156,10 @@ class NetworkModel:
     I_{n_i}), the dims and the engine's stacks are derived on first use and
     kept, so none can be set apart from the blocks (replace(model, A=...)
     raises TypeError). replace(model, sigmas=...) re-noises the network;
-    sigmas, one finite scale >= 0 per agent, are kept as floats.
+    sigmas, one finite scale >= 0 per agent, are kept as floats. There is
+    at least one block, and Q and R, the stage cost's weights, are finite
+    n x n and m x m matrices, kept as the objects given. Each rule raises
+    ValueError naming its field.
     """
 
     blocks: tuple
@@ -164,12 +168,18 @@ class NetworkModel:
     sigmas: tuple
 
     def __post_init__(self):
+        if not self.n_agents:
+            raise ValueError("at least one agent is required")
         if not np.iterable(self.sigmas):
             raise ValueError(f"sigmas must be {self.n_agents} noise scales, got {self.sigmas!r}")
         sigmas = tuple(check_positive(s, "sigmas", allow_zero=True) for s in self.sigmas)
         if len(sigmas) != self.n_agents:
             raise ValueError(f"sigmas must be {self.n_agents} noise scales, got {len(sigmas)}")
         object.__setattr__(self, "sigmas", sigmas)
+        for name, dim in (("Q", self.n), ("R", self.m)):
+            shape = check_square(getattr(self, name), name).shape
+            if shape[0] != dim:
+                raise ValueError(f"{name} must be {dim} x {dim}, got shape {shape}")
 
     # the aggregates, each the block-diagonal matrix of the agents' k-th blocks
     A, B, C, W = (cached_property(lambda self, k=k: _block_diag([b[k] for b in self.blocks]))
@@ -227,18 +237,19 @@ def assemble_network(agents, Q, R):
 
     Calibrates each agent's noise scale from its PrivacySpec and output map
     and checks both Riccati problems' preconditions
-    (dplqg.riccati.check_preconditions) on the model, which keeps the
-    symmetrized Q and R: Q, R, W, V symmetric positive definite, (A, B)
-    controllable, (A, C) observable. Violations raise AssumptionError
-    naming the failing condition.
+    (dplqg.riccati.check_preconditions) on the block-diagonal matrices,
+    before the model, which keeps the symmetrized Q and R: Q, R, W, V
+    symmetric positive definite, (A, B) controllable, (A, C) observable.
+    Violations raise AssumptionError naming the failing condition.
     """
     agents = list(agents)
     if not agents:
         raise ValueError("at least one agent is required")
-    model = NetworkModel(tuple((ag.A, ag.B, ag.C, ag.W) for ag in agents), Q, R,
-                         tuple(calibrate_sigma(ag.privacy, ag.C) for ag in agents))
-    Q, R = check_preconditions(model.A, model.B, Q, R)
-    model = replace(model, Q=Q, R=R)
+    sigmas = tuple(calibrate_sigma(ag.privacy, ag.C) for ag in agents)
+    # the weights meet check_preconditions first, so definiteness fails before size
+    Q, R = check_preconditions(*(_block_diag([getattr(ag, k) for ag in agents]) for k in "AB"),
+                               Q, R)
+    model = NetworkModel(tuple((ag.A, ag.B, ag.C, ag.W) for ag in agents), Q, R, sigmas)
     check_preconditions(model.A.T, model.C.T, model.W, model.V, dual=True)
     return model
 
@@ -363,6 +374,33 @@ def _check_batch(runs, agents, horizon, seeds, control):
     return model, agents, L, np.array([other.sigmas for other, _ in runs]), gains
 
 
+def filter_step(A, B, C, gain, x_hat, u, y_bar_next):
+    """Advance the cloud's stationary filter by one measurement.
+
+    The estimate starts at the public mean xhat(0) = E[x(0)] and consumes
+    measurements from step 1 on:
+
+        xpred(k+1) = A xhat(k) + B u(k)
+        xhat(k+1)  = xpred(k+1) + SigmaBar C^T V^{-1} (ybar(k+1) - C xpred(k+1))
+
+    where gain is SigmaBar C^T V^{-1}, FilterSynthesis.kalman_gain. The
+    prediction equals (A + B L) xhat(k), but written with the sent input
+    u(k) it can be rerun by anyone holding the wire log. x_hat is the
+    estimate at step k, u the input sent at step k and y_bar_next ybar(k+1);
+    returns the estimate at step k+1. _lockstep runs exactly this
+    arithmetic, and it is the reference that replay_estimates, which runs
+    the same products and sums in place, is tested against bit for bit.
+    """
+    predicted = A @ x_hat + B @ u
+    return predicted + gain @ (y_bar_next - C @ predicted)
+
+
+def _quadratic_form(x, M):
+    """x^T M x of each row of x, as (x @ M) @ x of that row alone."""
+    row = x[..., None, :]
+    return np.matmul(np.matmul(row, M), row.swapaxes(-1, -2))[..., 0, 0]
+
+
 def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     """Advance S closed-loop runs in lockstep; yield their rows as _Chunks.
 
@@ -372,10 +410,12 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
     sigmas[j] (one per agent) and filters with Kalman gain gains[j]. Run
     j's rows are bit-equal to those of run_simulation on its own model and
     synthesis; the module docstring says why. Chunks come SIM_CHUNK_STEPS
-    steps at a time, with no cost state passed from chunk to chunk.
+    steps at a time, with no cost state passed from chunk to chunk; each
+    row's stage cost has the bits of float(x @ Q @ x + u @ R @ u) on it.
     """
     n_runs, n, m, N = len(gains), model.n, model.m, model.n_agents
     A, B, C = model.A, model.B, model.C
+    Q, R = (np.asarray(M, dtype=float) for M in (model.Q, model.R))
     S = model.state_slices
     scale = np.repeat(sigmas, model.state_dims, axis=1)[:, :, None]
     privacy = [derive_stream(seed, i, PRIVACY_NOISE) for i in range(N)]
@@ -432,7 +472,7 @@ def _lockstep(model, agents, horizon, seed, L, sigmas, gains):
         x = xs[T]
         xs, us = xs[:T, :, :, 0], us[:, :, :, 0]
         yield _Chunk(slice(k0, k0 + T), xs, x_hats[:, :, :, 0], us, y_bars[:, :, :, 0],
-                     incremental_cost(xs, us, model.Q, model.R))
+                     _quadratic_form(xs, Q) + _quadratic_form(us, R))
 
 
 def run_simulation(model, agents, horizon, seed, synthesis):
@@ -502,13 +542,13 @@ def replay_estimates(log, model, filter_synthesis, x_hat0):
     trace.messages, or the published messages.csv as read_messages_csv
     parses it. Needs only public information: the model matrices (A, B, C),
     the filter gain (derivable from A, C, W, V without the secret Q and R),
-    the public prior, and the log. The replay runs dplqg.lqg.filter_step's
-    products and sums in its order, writing each estimate into its row of
-    the result, so the result matches the cloud's xhat sequence bit for
-    bit; filter_step is the reference it is tested against. Returns a
-    (T, n) array. A log of other agent dimensions, a Kalman gain not of
-    shape (n, n), or an x_hat0 that is not a finite vector of shape (n,),
-    raises ValueError.
+    the public prior, and the log. The replay runs filter_step's products
+    and sums in its order, writing each estimate into its row of the
+    result, so the result matches the cloud's xhat sequence bit for bit;
+    filter_step is the reference it is tested against, and the loop stays
+    in place, free of its per-step temporaries. Returns a (T, n) array. A
+    log of other agent dimensions, a Kalman gain not of shape (n, n), or an
+    x_hat0 that is not a finite vector of shape (n,), raises ValueError.
     """
     if (log.state_dims, log.input_dims) != (model.state_dims, model.input_dims):
         raise ValueError("the wire log's agent dimensions do not match the model")

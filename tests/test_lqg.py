@@ -1,17 +1,12 @@
-"""Tests for the cloud-side synthesis, filtering, and cost accounting."""
+"""Tests for the cloud-side synthesis and the filter step it feeds."""
 
 from dataclasses import fields
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from dplqg.lqg import (
-    filter_step,
-    incremental_cost,
-    synthesize,
-)
-from dplqg.network import AgentModel, assemble_network
+from dplqg.lqg import synthesize
+from dplqg.network import AgentModel, assemble_network, filter_step
 from dplqg.privacy import PrivacySpec
 from dplqg.riccati import (ControlSynthesis, FilterSynthesis, solve_dare_control,
                            solve_dare_filter)
@@ -120,42 +115,3 @@ def test_stationary_filter_error_matches_filtered_covariance():
         x = a * x + u_prev + np.sqrt(w_var) * stream.standard_normal(1)[0]
     empirical = float(np.mean(sq_err[200:]))
     assert_allclose(empirical, syn.SigmaBar[0, 0], rtol=0.1)
-
-
-def test_incremental_cost_quadratic_form():
-    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    R = np.array([[3.0]])
-    x = np.array([1.0, -2.0])
-    u = np.array([0.5])
-    expected = x @ Q @ x + u @ R @ u
-    assert incremental_cost(x, u, Q, R) == expected
-    assert incremental_cost(np.zeros(2), np.zeros(1), Q, R) == 0.0
-    # a stack of rows gives each row's one-step bits
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((50, 2)) * 10.0 ** rng.integers(-8, 8, (50, 1))
-    U = rng.standard_normal((50, 1))
-    stacked = incremental_cost(X, U, Q, R)
-    assert stacked.shape == (50,)
-    rows = zip(X, U)
-    assert stacked.tolist() == [float(a @ Q @ a + b @ R @ b) for a, b in rows]
-    assert stacked.tolist() == [incremental_cost(a, b, Q, R) for a, b in zip(X, U)]
-    assert incremental_cost(np.zeros((0, 2)), np.zeros((0, 1)), Q, R).shape == (0,)
-    # so does a (steps, runs) stack of rows, also one whose runs are strided
-    batch = incremental_cost(X.reshape(10, 5, 2), U.reshape(10, 5, 1), Q, R)
-    assert batch.shape == (10, 5)
-    assert batch.ravel().tolist() == stacked.tolist()
-    runs = incremental_cost(np.stack((X, X[::-1]), axis=1),
-                            np.stack((U, U[::-1]), axis=1), Q, R)
-    assert runs[:, 1].tolist() == stacked[::-1].tolist()
-
-
-def test_incremental_cost_dimension_checks():
-    with pytest.raises(ValueError):
-        incremental_cost(np.zeros(2), np.zeros(1), np.eye(3), np.eye(1))
-    with pytest.raises(ValueError):
-        incremental_cost(np.zeros(2), np.zeros(1), np.eye(2), np.eye(2))
-    with pytest.raises(ValueError):
-        incremental_cost(np.zeros((3, 2)), np.zeros((4, 1)), np.eye(2), np.eye(1))
-    with pytest.raises(ValueError):
-        incremental_cost(np.zeros((3, 2)), np.zeros(1), np.eye(2), np.eye(1))
-

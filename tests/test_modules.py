@@ -49,6 +49,48 @@ def test_private_imports_are_found(tmp_path):
                                         (3, ".", "_private")]
 
 
+def _package_imports(path):
+    """Names of the package modules a source file imports, as `from .mod
+    import ...`, `from dplqg.mod import ...`, `from . import mod` or
+    `import dplqg.mod`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level > 0 or module.split(".")[0] == "dplqg":
+                module = module.removeprefix("dplqg").lstrip(".")
+                found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("dplqg.") for alias in node.names
+                      if alias.name.startswith("dplqg.")}
+    return found
+
+
+def test_the_loop_does_not_import_the_synthesis():
+    # The cloud's filter step, the engine that runs it and the replay that
+    # must match it bit for bit sit in dplqg.network, which takes the
+    # solved gains as records and imports nothing from dplqg.lqg.
+    imports = _package_imports(PACKAGE / "network.py")
+    assert {"errors", "riccati"} <= imports
+    assert "lqg" not in imports
+
+
+def test_package_imports_are_found(tmp_path):
+    # the check itself: each spelling of an import of a package module is
+    # caught, and other packages' modules pass
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .lqg import synthesize\n"
+        "from dplqg.riccati import solve_dare_control\n"
+        "from . import rng, errors\n"
+        "from dplqg import output\n"
+        "import dplqg.bounds as bounds\n"
+        "from numpy import linalg\n"
+        "import os.path\n"
+    )
+    assert _package_imports(source) == {"lqg", "riccati", "rng", "errors", "output", "bounds"}
+
+
 def _crlf_modules():
     """Names of the package's modules whose code holds a string constant
     with a CRLF line ending in it."""

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from dplqg.bounds import logdet
 from dplqg.config import build_network, load
 from dplqg.errors import AssumptionError
-from dplqg.lqg import filter_step, synthesize
+from dplqg.lqg import synthesize
 from dplqg.network import (
     CLOUD,
     CONTROL,
@@ -31,6 +31,7 @@ from dplqg.network import (
     assemble_network,
     average_costs,
     eavesdropper_view,
+    filter_step,
     read_messages_csv,
     replay_estimates,
     run_simulation,
@@ -203,6 +204,10 @@ def test_assemble_network_rejects_bad_inputs():
         assemble_network(agents, Q=np.eye(2), R=np.eye(1))
     with pytest.raises(AssumptionError):
         assemble_network(agents, Q=np.array([[-1.0]]), R=np.eye(1))
+    # the solver's weight checks run before the model's size checks, so a
+    # Q of the wrong size that is not positive definite fails as such
+    with pytest.raises(AssumptionError, match="Q must be positive definite"):
+        assemble_network(agents, Q=-np.eye(2), R=np.eye(1))
 
 
 @pytest.mark.parametrize("a, n_unstable", [(2.0, 15), (1.5, 31)])
@@ -300,7 +305,8 @@ def test_estimator_used_for_u_is_the_logged_estimate():
 
 def test_network_model_checks_its_noise_scales():
     # one finite scale >= 0 per agent, kept as floats, or a ValueError
-    # naming sigmas before any solve or run reads them
+    # naming sigmas before any solve or run reads them; so too its blocks
+    # and its cost weights, a finite n x n Q and m x m R
     config = Path(__file__).resolve().parents[1] / "configs" / "sweep_4agent.json"
     model, _ = build_network(load(config))
     sigmas = replace(model, sigmas=(1, 0, np.float64(2), 3)).sigmas
@@ -314,6 +320,17 @@ def test_network_model_checks_its_noise_scales():
                           (("1",) * 4, "sigmas must be a real number")):
         with pytest.raises(ValueError, match=match):
             replace(model, sigmas=sigmas)
+    case_study, _ = build_network(load(config.with_name("case_study_2agent.json")))
+    for base, changes, match in (
+            (model, {"Q": np.full((8, 8), np.nan)}, "Q must be finite"),
+            (case_study, {"Q": np.eye(3)}, re.escape("Q must be 4 x 4, got shape (3, 3)")),
+            (model, {"R": np.eye(3)}, re.escape("R must be 4 x 4, got shape (3, 3)")),
+            (model, {"R": np.ones(4)}, re.escape("R must be square, got shape (4,)")),
+            (model, {"blocks": (), "sigmas": ()}, "at least one agent is required")):
+        with pytest.raises(ValueError, match=match):
+            replace(base, **changes)
+    # the weights are checked, not replaced: runs compare them by identity
+    assert replace(model, sigmas=model.sigmas).Q is model.Q
 
 
 def test_a_trace_beyond_memory_names_the_horizon():
